@@ -48,7 +48,6 @@ from .errors import (
 )
 from .gravity import (
     PotentialProfile,
-    force_derivative,
     frequency_report,
     omega_classical,
     omega_quantum,
@@ -86,15 +85,12 @@ from .phasespace import (
     arm_coherence,
     coherence_from_kernel,
     evolve_wigner,
-    kinetic_bracket,
     load_grid,
     moyal_bracket,
-    moyal_correction_terms,
     poisson_bracket,
     potential_bracket,
     potential_commutator_term,
     save_grid,
-    stability_bound,
     truncation_tail_ratio,
     weyl_density_matrix,
     wigner_from_two_packets,

@@ -9,7 +9,7 @@ manifest timestamp varies.
 
 Exit status: 0 on success (for ``validate-oracle``, success includes
 the tolerance check passing), 2 for input problems (bad flags, bad
-documents, infeasible parameters), 3 for numerical failures (blow-up,
+documents, infeasible parameters), 3 for numerical failures (norm drift,
 non-convergence, a failed validation).
 """
 

@@ -6,7 +6,7 @@ line maps onto distinct exit codes:
 
 * input problems (bad documents, bad parameters, infeasible geometry,
   unsupported model/operation combinations) -- exit code 2;
-* numerical failures (integrator breakdown, blow-up, non-convergence)
+* numerical failures (integrator breakdown, norm drift, non-convergence)
   -- exit code 3.
 
 Warnings signal degraded-but-usable results and never interrupt a
@@ -14,6 +14,26 @@ computation.
 """
 
 from __future__ import annotations
+
+__all__ = [
+    "GravfringeError",
+    "ConfigParseError",
+    "ConfigValidationError",
+    "DomainError",
+    "InfeasibleGeometryError",
+    "UnsupportedModelError",
+    "GridError",
+    "NonOrthogonalPacketsError",
+    "DerivativeOrderError",
+    "RecordError",
+    "InsufficientSpanError",
+    "NoSteadyStateError",
+    "IntegrationError",
+    "InstabilityError",
+    "FitConvergenceError",
+    "PositivityWarning",
+    "CoherenceGrowthWarning",
+]
 
 
 class GravfringeError(Exception):
@@ -95,8 +115,7 @@ class IntegrationError(GravfringeError):
 
 
 class InstabilityError(GravfringeError):
-    """A grid evolution blew up (the field magnitude grew beyond the
-    instability threshold) or stopped conserving its integral."""
+    """A grid evolution stopped conserving its integral."""
 
 
 class FitConvergenceError(GravfringeError):

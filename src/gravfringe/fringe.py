@@ -87,13 +87,18 @@ class FringeRecord:
             raise RecordError("a record needs a 1-d time axis with >= 2 samples")
         if signal.shape != times.shape:
             raise RecordError("signal and times must have matching shapes")
-        if np.any(np.diff(times) <= 0.0):
-            raise RecordError("record times must be strictly increasing")
+        columns = {"times": times, "signal": signal}
         if self.population is not None:
             population = np.asarray(self.population, dtype=float)
             object.__setattr__(self, "population", population)
             if population.shape != times.shape:
                 raise RecordError("population and times must have matching shapes")
+            columns["population"] = population
+        for name, column in columns.items():
+            if not np.all(np.isfinite(column)):
+                raise RecordError(f"record {name} column holds non-finite values")
+        if np.any(np.diff(times) <= 0.0):
+            raise RecordError("record times must be strictly increasing")
         if self.noise_sd == 0.0:
             # a noiseless signal is a probability
             if np.any(signal < -1e-9) or np.any(signal > 1.0 + 1e-9):

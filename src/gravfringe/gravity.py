@@ -55,7 +55,6 @@ __all__ = [
     "two_ball_derivative",
     "PotentialProfile",
     "potential",
-    "force_derivative",
     "omega_classical",
     "omega_quantum",
     "solve_null_distance",
@@ -147,11 +146,6 @@ class PotentialProfile:
 def potential(config: ExperimentConfig, x):
     """Potential energy of a configuration at x (J)."""
     return PotentialProfile(config).potential(x)
-
-
-def force_derivative(config: ExperimentConfig, x, order: int = 1):
-    """k-th derivative of the potential for a configuration (J/m^k)."""
-    return PotentialProfile(config).derivative(x, order=order)
 
 
 def omega_classical(config: ExperimentConfig) -> float:

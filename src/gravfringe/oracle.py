@@ -31,7 +31,6 @@ from .phasespace import (
     HamiltonianField,
     WignerGrid,
     evolve_wigner,
-    stability_bound,
     truncation_tail_ratio,
     weyl_density_matrix,
     wigner_from_two_packets,
@@ -45,8 +44,6 @@ __all__ = [
     "parse_oracle_config",
     "run_validation",
     "save_oracle_config",
-    "serialize_oracle_config",
-    "write_report",
 ]
 
 TWO_BALL = "two_ball"
@@ -159,6 +156,16 @@ class OracleConfig:
                 f"need at least four samples per fringe oscillation "
                 f"(dp <= {limit!r})"
             )
+        step = self.hold_time / (self.n_snapshots - 1)
+        turn = max(map(abs, self.predicted_frequencies())) * step
+        if turn >= math.pi / 2.0:
+            # np.unwrap folds phase steps beyond pi, so a coarser snapshot
+            # spacing would report an aliased slope as a failed validation
+            raise ConfigValidationError(
+                f"snapshots too sparse for phase unwrapping: the predicted "
+                f"phase turns {turn:.3g} rad between snapshots (must stay "
+                f"below pi/2); lower hold_time or raise n_snapshots"
+            )
 
     # ------------------------------------------------------- derived pieces
 
@@ -231,8 +238,8 @@ def default_scaled_config() -> OracleConfig:
     below).  The geometry leaves the near ball centre 11.5 units past
     the grid edge: the truncated correction series then still converges
     at the grid's extreme momentum wavenumber (pi/dp ~ 20, half of
-    which stays inside that pole distance), keeping the stability-bound
-    step, and with it the full run, cheap.
+    which stays inside that pole distance), so the generator stays a
+    faithful truncation of the potential difference on every mode.
     """
     return OracleConfig(
         potential=TWO_BALL,
@@ -350,8 +357,6 @@ class OracleReport:
 
     config: OracleConfig
     tolerance: float
-    dt: float
-    steps_per_segment: int
     omega_classical_predicted: float
     omega_quantum_predicted: float
     omega_poisson_measured: float
@@ -384,7 +389,6 @@ class OracleReport:
                 out.append(f"{f.name} = {float(value)!r}")
         for name in (
             "tolerance",
-            "dt",
             "omega_classical_predicted",
             "omega_quantum_predicted",
             "omega_poisson_measured",
@@ -397,7 +401,6 @@ class OracleReport:
             "coherence_final",
         ):
             out.append(f"{name} = {getattr(self, name)!r}")
-        out.append(f"steps_per_segment = {self.steps_per_segment}")
         out.append(f"poisson_pass = {str(self.poisson_pass).lower()}")
         out.append(f"moyal_pass = {str(self.moyal_pass).lower()}")
         out.append(f"passed = {str(self.passed).lower()}")
@@ -409,29 +412,23 @@ def _phase_slope(
     h: HamiltonianField,
     w0: WignerGrid,
     order: BracketOrder,
-    dt: float,
 ) -> tuple[float, float, float]:
     """(fitted phase velocity, |c| first, |c| last) for one bracket order.
 
-    The state is held (kinetic streaming masked) and the coherence is
-    read off the recovered position kernel at the packet centres, the
-    transform route the reduction argument itself uses.
+    The state is held (kinetic streaming masked), so each snapshot is
+    the exact propagator applied to ``w0`` at its own time; the
+    coherence is read off the recovered position kernel at the packet
+    centres, the transform route the reduction argument itself uses.
     """
     a = config.arm_separation / 2.0
     scale = config.packet_width * math.sqrt(2.0 * math.pi)
     times = np.linspace(0.0, config.hold_time, config.n_snapshots)
-    kernels = [weyl_density_matrix(w0, -a, a)]
-    current = w0
-    for k in range(1, config.n_snapshots):
-        current = evolve_wigner(
-            h,
-            current,
-            order,
-            float(times[k] - times[k - 1]),
-            dt=dt,
-            hold_packets=True,
+    kernels = [
+        weyl_density_matrix(
+            evolve_wigner(h, w0, order, float(t), hold_packets=True), -a, a
         )
-        kernels.append(weyl_density_matrix(current, -a, a))
+        for t in times
+    ]
     magnitudes = scale * np.abs(kernels)
     phases = np.unwrap(np.angle(kernels))
     slope = float(np.polyfit(times, phases, 1)[0])
@@ -453,14 +450,10 @@ def run_validation(config: OracleConfig, tolerance: float = 0.05) -> OracleRepor
     h = config.field_on(w0.q_axis)
     omega_c, omega_q = config.predicted_frequencies()
 
-    dt = stability_bound(h, w0, hold_packets=True, order=BracketOrder(config.n_max))
-    segment = config.hold_time / (config.n_snapshots - 1)
-    if not math.isfinite(dt):
-        dt = segment  # force-free field: any step is stable
     moyal_slope, c_first, c_last = _phase_slope(
-        config, h, w0, BracketOrder(config.n_max), dt
+        config, h, w0, BracketOrder(config.n_max)
     )
-    poisson_slope, _, _ = _phase_slope(config, h, w0, BracketOrder(0), dt)
+    poisson_slope, _, _ = _phase_slope(config, h, w0, BracketOrder(0))
 
     reference = max(abs(omega_c), abs(omega_q))
     if reference == 0.0:
@@ -470,8 +463,6 @@ def run_validation(config: OracleConfig, tolerance: float = 0.05) -> OracleRepor
     return OracleReport(
         config=config,
         tolerance=tolerance,
-        dt=dt,
-        steps_per_segment=max(1, math.ceil(segment / dt - 1e-12)),
         omega_classical_predicted=omega_c,
         omega_quantum_predicted=omega_q,
         omega_poisson_measured=poisson_slope,

@@ -65,7 +65,6 @@ __all__ = [
     "TilloyDiosi",
     "GeneralLinear",
     "DynamicsModel",
-    "StateDerivative",
     "derivative",
     "evolve",
     "trajectory",
@@ -467,13 +466,3 @@ def model_descriptor(model: DynamicsModel) -> str:
             f"b_rl={model.b_rl!r})"
         )
     raise UnsupportedModelError(f"unknown dynamics model {model!r}")
-
-
-def _solution_form(model: GeneralLinear) -> str:
-    """Human-readable closed-form family for the coherence."""
-    branch = eigenvalue_branch(coherence_matrix(model))
-    return {
-        "real-distinct": "sum of two real exponentials",
-        "complex-pair": "exponential envelope times sine/cosine",
-        "repeated": "exponential times (1 + c t) polynomial",
-    }[branch]

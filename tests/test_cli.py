@@ -343,3 +343,20 @@ def test_fit_constant_record_exits_2_and_manifest_precedes_outputs(
     manifest = json.loads((fit_out / "manifest.json").read_text())
     assert manifest["outputs"] == []
     assert not (fit_out / "fit.txt").exists()
+
+
+def test_fit_non_finite_record_exits_2(tmp_path, capsys):
+    sim_out = tmp_path / "sim"
+    assert (
+        main(["simulate", "--model", "schrodinger", "--duration", "60",
+              "--out", str(sim_out)])
+        == 0
+    )
+    record = sim_out / "record.csv"
+    lines = record.read_text().splitlines()
+    t, _ = lines[10].split(",")
+    lines[10] = f"{t},nan"
+    record.write_text("\n".join(lines) + "\n")
+    code = main(["fit", str(record), "--out", str(tmp_path / "fit")])
+    assert code == 2
+    assert "signal" in capsys.readouterr().err

@@ -67,6 +67,15 @@ def test_record_validation():
         FringeRecord(times=[0.0, 1.0], signal=[0.5, 1.5], noise_sd=0.0)
     # the same out-of-range value is fine for a noisy record
     FringeRecord(times=[0.0, 1.0], signal=[0.5, 1.5], noise_sd=0.3)
+    # non-finite samples are named by column, whatever the noise level
+    with pytest.raises(RecordError, match="times"):
+        FringeRecord(times=[0.0, np.inf], signal=[0.5, 0.5], noise_sd=0.1)
+    with pytest.raises(RecordError, match="signal"):
+        FringeRecord(times=[0.0, 1.0], signal=[0.5, np.nan], noise_sd=0.1)
+    with pytest.raises(RecordError, match="population"):
+        FringeRecord(
+            times=[0.0, 1.0], signal=[0.5, 0.5], population=[0.5, np.nan]
+        )
 
 
 def test_csv_roundtrip_and_byte_identity(tmp_path):

@@ -162,6 +162,13 @@ def test_too_few_snapshots_rejected():
         dataclasses.replace(default_scaled_config(), n_snapshots=2)
 
 
+def test_sparse_snapshots_that_alias_the_phase_rejected():
+    # omega_Q ~ 0.3 over 20 time units between snapshots turns the phase
+    # by ~6 rad; np.unwrap would fold it into a wrong slope
+    with pytest.raises(ConfigValidationError, match="hold_time.*n_snapshots"):
+        dataclasses.replace(default_scaled_config(), hold_time=40.0, n_snapshots=3)
+
+
 def test_serialize_parse_round_trip(tmp_path):
     cfg = default_scaled_config()
     path = tmp_path / "oracle.cfg"
@@ -220,8 +227,6 @@ def test_two_ball_run_recovers_both_frequencies():
     assert 0.0 < report.truncation_tail < 0.05
     assert report.coherence_initial == pytest.approx(0.5, abs=1e-6)
     assert report.coherence_final == pytest.approx(0.5, abs=1e-3)
-    assert report.steps_per_segment >= 1
-    assert report.dt <= cfg.hold_time / (cfg.n_snapshots - 1)
 
 
 def test_unreachable_tolerance_fails_honestly():
@@ -259,10 +264,11 @@ def test_report_file_format(tmp_path):
         "truncation_tail",
         "poisson_pass",
         "moyal_pass",
-        "steps_per_segment",
         "tolerance",
-        "dt",
     ):
         assert needed in keys
+    # held propagation is exact: the report carries no step size
+    assert "dt" not in keys
+    assert "steps_per_segment" not in keys
     # every value renders on a single key = value line
     assert all(" = " in line for line in lines)
