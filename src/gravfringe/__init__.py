@@ -47,11 +47,9 @@ from .errors import (
     UnsupportedModelError,
 )
 from .gravity import (
-    PotentialProfile,
     frequency_report,
     omega_classical,
     omega_quantum,
-    potential,
     solve_null_distance,
     solve_null_quantum_distance,
     two_ball_derivative,
@@ -103,12 +101,12 @@ from .twostate import (
     Schrodinger,
     TilloyDiosi,
     TwoLevelState,
-    analytic_coherence,
     coherence_matrix,
     derivative,
     eigenvalue_branch,
     evolve,
     spectral_solution,
+    spectral_trajectory,
     steady_state_population,
     trajectory,
 )

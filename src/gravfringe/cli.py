@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -275,6 +276,11 @@ def _cmd_frequencies(args: argparse.Namespace, out_dir: Path) -> int:
     return 0
 
 
+def _flag(name: str) -> str:
+    """Command-line spelling of a model-parameter attribute name."""
+    return "--" + name.rstrip("_").replace("_", "-")
+
+
 def _model_from_flags(
     args: argparse.Namespace, config: ExperimentConfig
 ) -> Schrodinger | ClassicalPoisson | TilloyDiosi | GeneralLinear:
@@ -291,10 +297,13 @@ def _model_from_flags(
     }[args.model]
     stray = sorted(set(given) - allowed)
     if stray:
-        flags = ", ".join("--" + name.rstrip("_").replace("_", "-") for name in stray)
+        flags = ", ".join(_flag(name) for name in stray)
         raise ConfigValidationError(
             f"{flags} does not apply to --model {args.model}"
         )
+    for name, value in given.items():
+        if not np.isfinite(value):
+            raise ConfigValidationError(f"{_flag(name)} must be finite, got {value!r}")
     if args.model == "schrodinger":
         omega = given.get("omega_q", None)
         return Schrodinger(omega_quantum(config) if omega is None else omega)
@@ -304,14 +313,15 @@ def _model_from_flags(
     if args.model == "tilloy-diosi":
         missing = sorted({"lambda_", "omega_g"} - set(given))
         if missing:
-            flags = ", ".join(
-                "--" + name.rstrip("_").replace("_", "-") for name in missing
-            )
+            flags = ", ".join(_flag(name) for name in missing)
             raise ConfigValidationError(f"--model tilloy-diosi requires {flags}")
-        return TilloyDiosi(lam=given["lambda_"], omega_g=given["omega_g"])
+        try:
+            return TilloyDiosi(lam=given["lambda_"], omega_g=given["omega_g"])
+        except ValueError as exc:
+            raise ConfigValidationError(f"--lambda: {exc}") from None
     missing = sorted({"a_lr", "b_lr"} - set(given))
     if missing:
-        flags = ", ".join("--" + name.replace("_", "-") for name in missing)
+        flags = ", ".join(_flag(name) for name in missing)
         raise ConfigValidationError(f"--model general requires {flags}")
     return GeneralLinear(
         a_lr=given["a_lr"], b_lr=given["b_lr"], b_rl=given.get("b_rl", 0.0 + 0.0j)
@@ -319,11 +329,11 @@ def _model_from_flags(
 
 
 def _cmd_simulate(args: argparse.Namespace, out_dir: Path) -> int:
-    if args.duration <= 0.0:
-        raise ConfigValidationError("--duration must be positive")
+    if not 0.0 < args.duration < math.inf:
+        raise ConfigValidationError("--duration must be positive and finite")
     if args.samples < 2:
         raise ConfigValidationError("--samples must be at least 2")
-    if args.noise_sd < 0.0:
+    if not args.noise_sd >= 0.0:
         raise ConfigValidationError("--noise-sd must be non-negative")
     config = _resolve_experiment_config(args)
     model = _model_from_flags(args, config)
@@ -428,7 +438,10 @@ def _cmd_fit(args: argparse.Namespace, out_dir: Path) -> int:
     if args.tolerance is None:
         fit = fit_damped_fringe(record)
     else:
-        fit = fit_damped_fringe(record, tolerance=args.tolerance)
+        try:
+            fit = fit_damped_fringe(record, tolerance=args.tolerance)
+        except ValueError as exc:
+            raise ConfigValidationError(f"--tolerance: {exc}") from None
     write_fit_result(fit, out_dir / "fit.txt")
     manifest.finalize("fit.txt")
     print((out_dir / "fit.txt").read_text(), end="")
@@ -460,8 +473,12 @@ def main(argv: list[str] | None = None) -> int:
     except GravfringeError as exc:
         print(f"gravfringe: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"gravfringe: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        path = args.record if args.subcommand == "fit" else args.config
+        print(f"gravfringe: cannot decode {path}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -70,8 +70,8 @@ class InfeasibleGeometryError(GravfringeError):
 
 class UnsupportedModelError(GravfringeError):
     """The requested operation has no meaning for the given dynamics
-    model, e.g. asking for the closed-form coherence of the general
-    linear model."""
+    model, e.g. asking for the closed-form steady state of a general
+    linear law that couples the coherence to its conjugate."""
 
 
 class GridError(GravfringeError):

@@ -40,9 +40,8 @@ from .twostate import (
     DynamicsModel,
     GeneralLinear,
     TwoLevelState,
-    analytic_coherence,
     model_descriptor,
-    spectral_solution,
+    spectral_trajectory,
 )
 
 __all__ = [
@@ -126,24 +125,19 @@ def synthesize_record(
 ) -> FringeRecord:
     """Sample a model's fringe signal at the given times.
 
-    Closed forms are used throughout: the single-exponential models via
-    :func:`analytic_coherence`, the general linear model via
-    :func:`spectral_solution` (which also yields the population track,
-    included in the record for that model only).  Gaussian noise of
-    standard deviation ``noise_sd`` is added from a fresh
-    ``default_rng(seed)``; a ``noise_sd`` of zero produces a fully
+    The closed form :func:`spectral_trajectory` gives every model's
+    track in one call; the population track is included in the record
+    for the general linear model only, the one law that moves it.
+    Gaussian noise of standard deviation ``noise_sd`` is added from a
+    fresh ``default_rng(seed)``; a ``noise_sd`` of zero produces a fully
     deterministic record and records ``seed=None``.
     """
-    if noise_sd < 0.0:
+    if not noise_sd >= 0.0:
         raise ValueError("noise_sd must be non-negative")
     ts = np.asarray(times, dtype=float)
-    population = None
-    if isinstance(model, GeneralLinear):
-        states = [spectral_solution(model, initial, float(t)) for t in ts]
-        coherence = np.array([s.rho_lr for s in states])
-        population = np.array([s.rho_ll for s in states])
-    else:
-        coherence = analytic_coherence(model, initial, ts)
+    population, coherence = spectral_trajectory(model, initial, ts)
+    if not isinstance(model, GeneralLinear):
+        population = None
     signal = 0.5 + coherence.real
     used_seed: int | None = None
     if noise_sd > 0.0:
@@ -162,9 +156,6 @@ def synthesize_record(
 
 # ------------------------------------------------------------------ CSV
 
-_FLOAT_FORMAT = "%.17g"  # shortest round-trip-safe fixed choice
-
-
 def write_record(record: FringeRecord, path: str | Path) -> None:
     """Write a record as CSV with a one-line metadata header.
 
@@ -172,17 +163,16 @@ def write_record(record: FringeRecord, path: str | Path) -> None:
     ``t_s,signal[,population]`` and one row per sample.  Identical
     records produce byte-identical files.
     """
+    names = ["t_s", "signal"]
+    columns = [record.times, record.signal]
+    if record.population is not None:
+        names.append("population")
+        columns.append(record.population)
     lines = [
-        f"# model={record.model},seed={record.seed},noise_sd={record.noise_sd!r}"
+        f"# model={record.model},seed={record.seed},noise_sd={record.noise_sd!r}",
+        ",".join(names),
     ]
-    if record.population is None:
-        lines.append("t_s,signal")
-        for t, s in zip(record.times, record.signal):
-            lines.append(f"{t:.17g},{s:.17g}")
-    else:
-        lines.append("t_s,signal,population")
-        for t, s, p in zip(record.times, record.signal, record.population):
-            lines.append(f"{t:.17g},{s:.17g},{p:.17g}")
+    lines += [",".join(f"{v:.17g}" for v in row) for row in zip(*columns)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -211,14 +201,25 @@ def read_record(path: str | Path) -> FringeRecord:
         raise RecordError(f"{path}: non-numeric sample value ({exc})") from None
     if data.ndim != 2 or data.shape[1] != len(columns):
         raise RecordError(f"{path}: ragged or empty sample table")
-    seed = None if meta["seed"] == "None" else int(meta["seed"])
+    try:
+        seed = None if meta["seed"] == "None" else int(meta["seed"])
+    except ValueError:
+        raise RecordError(
+            f"{path}: header seed={meta['seed']!r} is neither an integer nor None"
+        ) from None
+    try:
+        noise_sd = float(meta["noise_sd"])
+    except ValueError:
+        raise RecordError(
+            f"{path}: header noise_sd={meta['noise_sd']!r} is not a number"
+        ) from None
     return FringeRecord(
         times=data[:, 0],
         signal=data[:, 1],
         population=data[:, 2] if has_population else None,
         model=meta["model"],
         seed=seed,
-        noise_sd=float(meta["noise_sd"]),
+        noise_sd=noise_sd,
     )
 
 
@@ -319,10 +320,16 @@ def fit_damped_fringe(
     Bounded least squares keeps lambda >= 0; a record preferring
     growth pins the estimate at zero and sets ``lambda_at_bound``.
 
-    Raises :class:`InsufficientSpanError` when the record covers fewer
-    than two periods at the seeded frequency, and
+    Raises ``ValueError`` unless ``tolerance`` is finite and above
+    machine epsilon, :class:`InsufficientSpanError` when the record
+    covers fewer than two periods at the seeded frequency, and
     :class:`FitConvergenceError` when the optimiser fails.
     """
+    if not np.finfo(float).eps < tolerance < math.inf:
+        raise ValueError(
+            f"tolerance must be finite and above machine epsilon "
+            f"{np.finfo(float).eps:.3g}, got {tolerance!r}"
+        )
     times = record.times
     signal = record.signal
     if initial_guess is not None:
@@ -346,11 +353,11 @@ def fit_damped_fringe(
         return _fringe(params, times) - signal
 
     x0 = np.array([lam0, omega0, contrast0, phase0])
+    # least_squares' default trust-region-reflective method honours bounds
     result = least_squares(
         residuals,
         x0,
         bounds=([0.0, 0.0, 0.0, -2.0 * math.pi], [np.inf, np.inf, 2.0, 2.0 * math.pi]),
-        method="trf",
         xtol=tolerance,
         ftol=tolerance,
         gtol=tolerance,

@@ -29,19 +29,18 @@ ball distances, and the two null conditions are distinct whenever the
 ball masses differ -- that distinctness is what makes the geometry a
 discriminating measurement rather than a calibration.
 
-The units-free helpers (``two_ball_potential`` and friends, couplings
-``g_i`` passed directly) also serve the scaled phase-space oracle; the
-config-facing functions wrap them with SI couplings.
+The units-free helpers ``two_ball_potential`` and
+``two_ball_derivative`` take the couplings ``g_i`` directly and also
+serve the scaled phase-space oracle; the config-facing frequency and
+nulling functions evaluate the closed forms above in SI units.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .config import ExperimentConfig, ball_radius, with_updates
 from .errors import (
@@ -53,8 +52,6 @@ from .errors import (
 __all__ = [
     "two_ball_potential",
     "two_ball_derivative",
-    "PotentialProfile",
-    "potential",
     "omega_classical",
     "omega_quantum",
     "solve_null_distance",
@@ -101,51 +98,6 @@ def two_ball_derivative(x, g1: float, g2: float, d1: float, d2: float, order: in
     fact = float(math.factorial(k))
     out = -g1 * sign * fact / (d1 + xv) ** (k + 1) - g2 * fact / (d2 - xv) ** (k + 1)
     return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class PotentialProfile:
-    """The axis potential of one configuration, with derivatives.
-
-    Thin wrapper binding the SI couplings ``g_i = G * m * M_i`` of a
-    configuration to the units-free closed forms.
-    """
-
-    config: ExperimentConfig
-
-    @property
-    def coupling_left(self) -> float:
-        c = self.config
-        return c.constants.G * c.particle_mass * c.mass_left
-
-    @property
-    def coupling_right(self) -> float:
-        c = self.config
-        return c.constants.G * c.particle_mass * c.mass_right
-
-    def potential(self, x):
-        """V(x) in joules; scalar or array."""
-        c = self.config
-        return two_ball_potential(
-            x, self.coupling_left, self.coupling_right, c.dist_left, c.dist_right
-        )
-
-    def derivative(self, x, order: int = 1):
-        """k-th derivative of V at x, J/m^k; scalar or array."""
-        c = self.config
-        return two_ball_derivative(
-            x,
-            self.coupling_left,
-            self.coupling_right,
-            c.dist_left,
-            c.dist_right,
-            order=order,
-        )
-
-
-def potential(config: ExperimentConfig, x):
-    """Potential energy of a configuration at x (J)."""
-    return PotentialProfile(config).potential(x)
 
 
 def omega_classical(config: ExperimentConfig) -> float:
@@ -203,44 +155,37 @@ def _null_feasibility(config: ExperimentConfig, which: _Side, value: float) -> N
         ) from exc
 
 
+def _classical_null(d_fixed: float, m_fixed: float, m_moved: float) -> float:
+    """Distance of the moved ball that nulls omega_C: M_f/d_f^2 = M_m/d^2."""
+    return d_fixed * math.sqrt(m_moved / m_fixed)
+
+
+def _quantum_null(config: ExperimentConfig) -> float:
+    """Right-ball distance with d2^2 = dx^2/4 + (M2/M1) (d1^2 - dx^2/4)."""
+    c = config
+    quarter = c.arm_separation**2 / 4.0
+    return math.sqrt(
+        quarter + (c.mass_right / c.mass_left) * (c.dist_left**2 - quarter)
+    )
+
+
 def solve_null_distance(
-    config: ExperimentConfig,
-    which: _Side = "dist_right",
-    method: Literal["closed_form", "bisection"] = "closed_form",
+    config: ExperimentConfig, which: _Side = "dist_right"
 ) -> float:
     """Distance that nulls the classical frequency, holding the rest.
 
     Closed form: omega_C = 0 at d2 = d1 * sqrt(M2/M1) (and symmetrically
-    for d1).  ``method="bisection"`` solves the same root with a generic
-    bracketing solver instead; the two agree to solver tolerance and the
-    bisection path stays available for potentials without a closed form.
-
-    The returned distance is checked against the ball-overlap invariants
-    and :class:`InfeasibleGeometryError` is raised if the nulling
-    geometry cannot be built.
+    for d1).  The returned distance is checked against the ball-overlap
+    invariants and :class:`InfeasibleGeometryError` is raised if the
+    nulling geometry cannot be built.
     """
     c = config
     if which == "dist_right":
-        target = c.dist_left * math.sqrt(c.mass_right / c.mass_left)
+        target = _classical_null(c.dist_left, c.mass_left, c.mass_right)
     elif which == "dist_left":
-        target = c.dist_right * math.sqrt(c.mass_left / c.mass_right)
+        target = _classical_null(c.dist_right, c.mass_right, c.mass_left)
     else:
         raise ValueError(f"which must be 'dist_left' or 'dist_right', got {which!r}")
-
-    if method == "bisection":
-
-        def residual(d: float) -> float:
-            if which == "dist_right":
-                return c.mass_left / c.dist_left**2 - c.mass_right / d**2
-            return c.mass_left / d**2 - c.mass_right / c.dist_right**2
-
-        # Bracket around the closed-form estimate; the residual is
-        # monotone in d so any sign-changing bracket works.
-        lo, hi = target * 0.5, target * 2.0
-        target = float(bisect(residual, lo, hi, xtol=1e-15, rtol=8.9e-16))
-    elif method != "closed_form":
-        raise ValueError(f"unknown method {method!r}")
-
     _null_feasibility(config, which, target)
     return target
 
@@ -253,10 +198,7 @@ def solve_null_quantum_distance(config: ExperimentConfig) -> float:
     :class:`InfeasibleGeometryError` when the resulting geometry is not
     realisable.
     """
-    c = config
-    quarter = c.arm_separation**2 / 4.0
-    d2_sq = quarter + (c.mass_right / c.mass_left) * (c.dist_left**2 - quarter)
-    target = math.sqrt(d2_sq)
+    target = _quantum_null(config)
     _null_feasibility(config, "dist_right", target)
     return target
 
@@ -277,13 +219,10 @@ def frequency_report(config: ExperimentConfig) -> dict[str, float]:
         "radius_right_m": config.radius_right,
         "dist_left_m": config.dist_left,
         "dist_right_m": config.dist_right,
-        "null_classical_dist_right_m": config.dist_left
-        * math.sqrt(config.mass_right / config.mass_left),
-        "null_quantum_dist_right_m": math.sqrt(
-            config.arm_separation**2 / 4.0
-            + (config.mass_right / config.mass_left)
-            * (config.dist_left**2 - config.arm_separation**2 / 4.0)
+        "null_classical_dist_right_m": _classical_null(
+            config.dist_left, config.mass_left, config.mass_right
         ),
+        "null_quantum_dist_right_m": _quantum_null(config),
     }
     d1_mm = round(config.dist_left, 3)
     half = config.arm_separation / 2.0
@@ -291,7 +230,7 @@ def frequency_report(config: ExperimentConfig) -> dict[str, float]:
         rounded = with_updates(
             config,
             dist_left=d1_mm,
-            dist_right=d1_mm * math.sqrt(config.mass_right / config.mass_left),
+            dist_right=_classical_null(d1_mm, config.mass_left, config.mass_right),
         )
         report["dist_left_rounded_mm_m"] = rounded.dist_left
         report["omega_quantum_rounded_rad_s"] = omega_quantum(rounded)

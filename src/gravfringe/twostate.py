@@ -28,15 +28,25 @@ such laws:
   1/2 + Re rho_LR depends on the coherence alone -- the degeneracy that
   motivates measuring populations as well as fringes.
 
-The coherence subsystem in the real pair f = (Re rho_LR, Im rho_LR) is
-f' = A f with
+Every law is one real linear system y' = B y for
+y = (rho_LL, Re rho_LR, Im rho_LR), with the generator
+
+    B = [[0, 2 mu1,  -2 mu2 ],
+         [0, A[0,0], A[0,1]],
+         [0, A[1,0], A[1,1]]],
 
     A = [[Re(b_LR + b_RL), -Im(b_LR - b_RL)],
-         [Im(b_LR + b_RL),  Re(b_LR - b_RL)]],
+         [Im(b_LR + b_RL),  Re(b_LR - b_RL)]].
 
-and the population integrates the linear functional 2 (mu1, -mu2) . f,
-so everything has a closed (matrix-exponential) solution; a generic ODE
-integrator is kept alongside as an independent route.
+The population row integrates the coherence and the coherence block A
+drives f = (Re rho_LR, Im rho_LR) alone.  Everything follows from B:
+:func:`derivative` is B y; :func:`spectral_trajectory` is the closed
+form, one matrix exponential of the augmented coherence block per
+sample time, taken as a single batched call; and :func:`trajectory`
+(with its one-time view :func:`evolve`) integrates y' = B y with an
+adaptive Runge-Kutta method.  That integrator is not a second route to
+the answer but the independent cross-check the acceptance gate
+requires.
 """
 
 from __future__ import annotations
@@ -68,10 +78,10 @@ __all__ = [
     "derivative",
     "evolve",
     "trajectory",
-    "analytic_coherence",
     "coherence_matrix",
     "eigenvalue_branch",
     "spectral_solution",
+    "spectral_trajectory",
     "steady_state_population",
 ]
 
@@ -112,9 +122,14 @@ class TwoLevelState:
         max of the population's excursion outside [0, 1] and the excess
         of |rho_LR|^2 over rho_LL (1 - rho_LL).
         """
-        pop = max(-self.rho_ll, self.rho_ll - 1.0, 0.0)
-        coh = abs(self.rho_lr) ** 2 - self.rho_ll * (1.0 - self.rho_ll)
-        return max(pop, coh, 0.0)
+        return float(_positivity_defect(self.rho_ll, self.rho_lr))
+
+
+def _positivity_defect(rho_ll, rho_lr):
+    """Elementwise :meth:`TwoLevelState.positivity_defect` of arrays."""
+    pop = np.maximum(-rho_ll, rho_ll - 1.0)
+    coh = np.abs(rho_lr) ** 2 - rho_ll * (1.0 - rho_ll)
+    return np.maximum(np.maximum(pop, coh), 0.0)
 
 
 #: Equal superposition (|L> + |R>)/sqrt(2): the post-split initial state.
@@ -144,8 +159,8 @@ class TilloyDiosi:
     omega_g: float
 
     def __post_init__(self) -> None:
-        if self.lam < 0.0:
-            raise ValueError("decay rate lam must be non-negative")
+        if not self.lam >= 0.0:
+            raise ValueError(f"decay rate lam must be non-negative, got {self.lam!r}")
 
 
 @dataclass(frozen=True)
@@ -188,13 +203,30 @@ def _as_general(model: DynamicsModel) -> GeneralLinear:
     raise UnsupportedModelError(f"unknown dynamics model {model!r}")
 
 
-def derivative(model: DynamicsModel, state: TwoLevelState) -> StateDerivative:
-    """Instantaneous time derivative of the state under a model."""
+def coherence_matrix(model: DynamicsModel) -> np.ndarray:
+    """Real 2x2 generator of f = (Re rho_LR, Im rho_LR), f' = A f."""
+    model = _as_general(model)
+    b_sum = model.b_lr + model.b_rl
+    b_diff = model.b_lr - model.b_rl
+    return np.array(
+        [[b_sum.real, -b_diff.imag], [b_sum.imag, b_diff.real]], dtype=float
+    )
+
+
+def _generator(model: DynamicsModel) -> np.ndarray:
+    """Real 3x3 B with y' = B y for y = (rho_LL, Re rho_LR, Im rho_LR)."""
     g = _as_general(model)
-    mu1, mu2 = g.a_lr.real, g.a_lr.imag
-    d_ll = 2.0 * (mu1 * state.rho_lr.real - mu2 * state.rho_lr.imag)
-    d_lr = g.b_lr * state.rho_lr + g.b_rl * state.rho_lr.conjugate()
-    return StateDerivative(d_ll, d_lr)
+    b = np.zeros((3, 3))
+    b[0, 1:] = 2.0 * g.a_lr.real, -2.0 * g.a_lr.imag
+    b[1:, 1:] = coherence_matrix(g)
+    return b
+
+
+def derivative(model: DynamicsModel, state: TwoLevelState) -> StateDerivative:
+    """Instantaneous time derivative of the state under a model: B y."""
+    y = np.array([state.rho_ll, state.rho_lr.real, state.rho_lr.imag])
+    d = _generator(model) @ y
+    return StateDerivative(float(d[0]), complex(d[1], d[2]))
 
 
 def _validate_tolerance(tolerance: float) -> float:
@@ -205,61 +237,26 @@ def _validate_tolerance(tolerance: float) -> float:
     return float(tolerance)
 
 
-def _warn_if_unphysical(state: TwoLevelState, slack: float) -> TwoLevelState:
-    defect = state.positivity_defect()
-    if defect > slack:
+def _validate_times(times) -> np.ndarray:
+    ts = np.asarray(times, dtype=float)
+    if ts.ndim != 1 or ts.size == 0:
+        raise ValueError("times must be a non-empty 1-d array")
+    if not (ts[0] >= 0.0 and np.all(np.diff(ts) >= 0.0)):
+        raise ValueError("times must be non-negative and non-decreasing")
+    return ts
+
+
+def _warn_if_unphysical(rho_ll: np.ndarray, rho_lr: np.ndarray, slack: float) -> None:
+    defect = _positivity_defect(rho_ll, rho_lr)
+    worst = int(np.argmax(defect))
+    if defect[worst] > slack:
         warnings.warn(
-            f"evolved state left the physical set (defect {defect:.3g}); "
-            "the model parameterisation is not completely positive",
+            f"evolved state left the physical set (worst defect "
+            f"{defect[worst]:.3g}, at sample {worst}); the model "
+            "parameterisation is not completely positive",
             PositivityWarning,
             stacklevel=3,
         )
-    return state
-
-
-def _rhs(g: GeneralLinear):
-    mu1, mu2 = g.a_lr.real, g.a_lr.imag
-    b_lr, b_rl = g.b_lr, g.b_rl
-
-    def rhs(t: float, y: np.ndarray) -> list[float]:
-        re, im = y[1], y[2]
-        d_lr = b_lr * complex(re, im) + b_rl * complex(re, -im)
-        return [2.0 * (mu1 * re - mu2 * im), d_lr.real, d_lr.imag]
-
-    return rhs
-
-
-def evolve(
-    model: DynamicsModel,
-    initial: TwoLevelState,
-    t: float,
-    tolerance: float = _DEFAULT_TOLERANCE,
-) -> TwoLevelState:
-    """Integrate the model numerically to time ``t``.
-
-    Adaptive high-order Runge-Kutta with relative tolerance
-    ``tolerance`` (must lie in (0, 1e-3]).  Raises
-    :class:`IntegrationError` if the integrator cannot reach ``t``;
-    emits :class:`PositivityWarning` when the result drifts outside the
-    physical set by more than the tolerance allows.
-    """
-    tol = _validate_tolerance(tolerance)
-    if t < 0.0:
-        raise ValueError("evolution time must be non-negative")
-    if t == 0.0:
-        return initial
-    g = _as_general(model)
-    y0 = [initial.rho_ll, initial.rho_lr.real, initial.rho_lr.imag]
-    sol = solve_ivp(
-        _rhs(g), (0.0, t), y0, method="DOP853", rtol=tol, atol=tol * 1e-3
-    )
-    if not sol.success:
-        raise IntegrationError(
-            f"integrator failed before reaching t={t!r}: {sol.message}"
-        )
-    y = sol.y[:, -1]
-    out = TwoLevelState(y[0], complex(y[1], y[2]), check=False)
-    return _warn_if_unphysical(out, slack=100.0 * tol)
 
 
 def trajectory(
@@ -268,79 +265,52 @@ def trajectory(
     times: np.ndarray,
     tolerance: float = _DEFAULT_TOLERANCE,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate once and sample the state at the given times.
+    """Integrate y' = B y once and sample the state at the given times.
 
-    ``times`` must be non-negative and non-decreasing.  Returns arrays
-    ``(rho_ll, rho_lr)`` aligned with ``times``.
+    Adaptive high-order Runge-Kutta with relative tolerance
+    ``tolerance`` (must lie in (0, 1e-3]).  ``times`` must be
+    non-negative and non-decreasing.  Returns arrays
+    ``(rho_ll, rho_lr)`` aligned with ``times``.  Raises
+    :class:`IntegrationError` if the integrator cannot reach the last
+    time; emits one :class:`PositivityWarning` when a sampled state
+    drifts outside the physical set by more than the tolerance allows.
     """
     tol = _validate_tolerance(tolerance)
-    ts = np.asarray(times, dtype=float)
-    if ts.ndim != 1 or ts.size == 0:
-        raise ValueError("times must be a non-empty 1-d array")
-    if ts[0] < 0.0 or np.any(np.diff(ts) < 0.0):
-        raise ValueError("times must be non-negative and non-decreasing")
+    ts = _validate_times(times)
+    y0 = np.array([initial.rho_ll, initial.rho_lr.real, initial.rho_lr.imag])
     if ts[-1] == 0.0:
-        n = ts.size
-        return (
-            np.full(n, initial.rho_ll),
-            np.full(n, initial.rho_lr, dtype=complex),
+        y = np.repeat(y0[:, None], ts.size, axis=1)
+    else:
+        b = _generator(model)
+        sol = solve_ivp(
+            lambda t, y: b @ y,
+            (0.0, float(ts[-1])),
+            y0,
+            "DOP853",
+            rtol=tol,
+            atol=tol * 1e-3,
+            t_eval=ts,
         )
-    g = _as_general(model)
-    y0 = [initial.rho_ll, initial.rho_lr.real, initial.rho_lr.imag]
-    sol = solve_ivp(
-        _rhs(g),
-        (0.0, float(ts[-1])),
-        y0,
-        method="DOP853",
-        rtol=tol,
-        atol=tol * 1e-3,
-        t_eval=ts,
-        dense_output=False,
-    )
-    if not sol.success:
-        raise IntegrationError(f"integrator failed: {sol.message}")
-    rho_ll = sol.y[0]
-    rho_lr = sol.y[1] + 1j * sol.y[2]
-    final = TwoLevelState(rho_ll[-1], rho_lr[-1], check=False)
-    _warn_if_unphysical(final, slack=100.0 * tol)
+        if not sol.success:
+            raise IntegrationError(
+                f"integrator failed before reaching t={ts[-1]!r}: {sol.message}"
+            )
+        y = sol.y
+    rho_ll, rho_lr = y[0], y[1] + 1j * y[2]
+    _warn_if_unphysical(rho_ll, rho_lr, slack=100.0 * tol)
     return rho_ll, rho_lr
 
 
-def analytic_coherence(model: DynamicsModel, initial: TwoLevelState, t):
-    """Closed-form coherence for models with decoupled rho_LR.
-
-    Supported for :class:`Schrodinger`, :class:`ClassicalPoisson`, and
-    :class:`TilloyDiosi`, whose coherence obeys
-    d/dt rho_LR = (-lambda + i omega) rho_LR with lambda = 0 for the
-    first two:
-
-        rho_LR(t) = rho_LR(0) * exp((-lambda + i omega) t).
-
-    ``t`` may be a scalar or an array.  The general model couples
-    rho_LR to its conjugate, so it has no single-exponential form and
-    raises :class:`UnsupportedModelError`; use
-    :func:`spectral_solution`.
-    """
-    if isinstance(model, GeneralLinear):
-        raise UnsupportedModelError(
-            "the general linear model mixes rho_LR with its conjugate; "
-            "use spectral_solution instead"
-        )
-    rate = _as_general(model).b_lr
-    tv = np.asarray(t, dtype=float)
-    out = initial.rho_lr * np.exp(rate * tv)
-    return out if out.ndim else complex(out)
-
-
-def coherence_matrix(model: GeneralLinear) -> np.ndarray:
-    """Real 2x2 generator of f = (Re rho_LR, Im rho_LR), f' = A f."""
-    if not isinstance(model, GeneralLinear):
-        model = _as_general(model)
-    b_sum = model.b_lr + model.b_rl
-    b_diff = model.b_lr - model.b_rl
-    return np.array(
-        [[b_sum.real, -b_diff.imag], [b_sum.imag, b_diff.real]], dtype=float
-    )
+def evolve(
+    model: DynamicsModel,
+    initial: TwoLevelState,
+    t: float,
+    tolerance: float = _DEFAULT_TOLERANCE,
+) -> TwoLevelState:
+    """Integrated state at time ``t``: the last point of
+    ``trajectory(model, initial, [t], tolerance)``."""
+    rho_ll, rho_lr = trajectory(model, initial, [t], tolerance)
+    return TwoLevelState(rho_ll[-1], rho_lr[-1], check=False)
 
 
 def eigenvalue_branch(a: np.ndarray, rtol: float = 1e-9) -> str:
@@ -374,42 +344,49 @@ def _warn_if_growing(a: np.ndarray) -> None:
         )
 
 
-def spectral_solution(
-    model: GeneralLinear, initial: TwoLevelState, t: float
-) -> TwoLevelState:
-    """Closed-form state at time ``t`` for the general linear model.
+def spectral_trajectory(
+    model: DynamicsModel, initial: TwoLevelState, times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form states at the given times; same contract as
+    :func:`trajectory`, for every model.
 
     The coherence pair evolves as f(t) = exp(A t) f(0) and the
-    population integrates it:
+    population row of B integrates it:
 
         rho_LL(t) = rho_LL(0) + 2 (mu1, -mu2) . INT_0^t exp(A s) ds f(0).
 
     Both the propagator and its integral come from one matrix
-    exponential of the augmented block matrix [[A, I], [0, 0]] (the
-    integral is its upper-right block), which is branch-free across
-    real-distinct, complex-pair, and repeated spectra; see
-    :func:`eigenvalue_branch` for the report-only classification.
+    exponential of the augmented block matrix [[A, I], [0, 0]] per time
+    (the integral is its upper-right block), all taken in one batched
+    call.  The form is branch-free across real-distinct, complex-pair,
+    and repeated spectra; see :func:`eigenvalue_branch` for the
+    report-only classification.  Emits at most one
+    :class:`CoherenceGrowthWarning` and one :class:`PositivityWarning`
+    per call.
     """
-    if not isinstance(model, GeneralLinear):
-        raise UnsupportedModelError(
-            "spectral_solution applies to the general linear model; "
-            "closed forms for the named models come from analytic_coherence"
-        )
-    if t < 0.0:
-        raise ValueError("evolution time must be non-negative")
-    a = coherence_matrix(model)
-    _warn_if_growing(a)
+    ts = _validate_times(times)
+    b = _generator(model)
+    _warn_if_growing(b[1:, 1:])
     augmented = np.zeros((4, 4))
-    augmented[:2, :2] = a
+    augmented[:2, :2] = b[1:, 1:]
     augmented[:2, 2:] = np.eye(2)
-    propagated = expm(augmented * t)
+    propagated = expm(augmented * ts[:, None, None])
     f0 = np.array([initial.rho_lr.real, initial.rho_lr.imag])
-    f_t = propagated[:2, :2] @ f0
-    integral = propagated[:2, 2:] @ f0
-    mu1, mu2 = model.a_lr.real, model.a_lr.imag
-    rho_ll = initial.rho_ll + 2.0 * (mu1 * integral[0] - mu2 * integral[1])
-    out = TwoLevelState(rho_ll, complex(f_t[0], f_t[1]), check=False)
-    return _warn_if_unphysical(out, slack=1e-9)
+    f_t = propagated[:, :2, :2] @ f0
+    integral = propagated[:, :2, 2:] @ f0
+    rho_ll = initial.rho_ll + (b[0, 1] * integral[:, 0] + b[0, 2] * integral[:, 1])
+    rho_lr = f_t[:, 0] + 1j * f_t[:, 1]
+    _warn_if_unphysical(rho_ll, rho_lr, slack=1e-9)
+    return rho_ll, rho_lr
+
+
+def spectral_solution(
+    model: DynamicsModel, initial: TwoLevelState, t: float
+) -> TwoLevelState:
+    """Closed-form state at one time ``t``: the one-time view of
+    :func:`spectral_trajectory`."""
+    rho_ll, rho_lr = spectral_trajectory(model, initial, [t])
+    return TwoLevelState(rho_ll[0], rho_lr[0], check=False)
 
 
 def steady_state_population(model: GeneralLinear) -> float:
@@ -431,8 +408,7 @@ def steady_state_population(model: GeneralLinear) -> float:
     single-exponential coherence) and :class:`NoSteadyStateError` for
     lambda <= 0 (the integral does not converge).
     """
-    if not isinstance(model, GeneralLinear):
-        model = _as_general(model)
+    model = _as_general(model)
     if model.b_rl != 0.0:
         raise UnsupportedModelError(
             "closed-form steady state requires b_rl = 0 "

@@ -360,3 +360,86 @@ def test_fit_non_finite_record_exits_2(tmp_path, capsys):
     code = main(["fit", str(record), "--out", str(tmp_path / "fit")])
     assert code == 2
     assert "signal" in capsys.readouterr().err
+
+
+# ------------------------------------------------------ exit-code contract
+
+
+@pytest.mark.parametrize("tolerance", ["0", "-1", "1e-20", "nan"])
+def test_fit_tolerance_at_or_below_machine_epsilon_exits_2(
+    tmp_path, capsys, tolerance
+):
+    sim_out = tmp_path / "sim"
+    assert main(["simulate", "--model", "schrodinger", "--duration", "60",
+                 "--out", str(sim_out)]) == 0
+    code = main(["fit", str(sim_out / "record.csv"), "--tolerance", tolerance,
+                 "--out", str(tmp_path / "fit")])
+    assert code == 2
+    assert "--tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--model", "tilloy-diosi", "--lambda", "-1", "--omega-g", "0.2"],
+         "--lambda"),
+        (["--model", "schrodinger", "--noise-sd", "nan"], "--noise-sd"),
+        (["--model", "schrodinger", "--omega-q", "nan"], "--omega-q"),
+        (["--model", "general", "--a-lr", "0.1", "--b-lr=infj"], "--b-lr"),
+    ],
+)
+def test_simulate_invalid_model_value_exits_2(tmp_path, capsys, flags, named):
+    code = main(["simulate", *flags, "--duration", "10", "--out", str(tmp_path)])
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "record.csv").exists()
+
+
+@pytest.mark.parametrize("duration", ["nan", "inf"])
+def test_simulate_non_finite_duration_exits_2(tmp_path, capsys, duration):
+    code = main(["simulate", "--model", "schrodinger", "--duration", duration,
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "--duration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "good, bad", [("seed=None", "seed=abc"), ("noise_sd=0.0", "noise_sd=zz")]
+)
+def test_fit_unparseable_header_value_exits_2(tmp_path, capsys, good, bad):
+    sim_out = tmp_path / "sim"
+    assert main(["simulate", "--model", "schrodinger", "--duration", "60",
+                 "--out", str(sim_out)]) == 0
+    record = sim_out / "record.csv"
+    record.write_text(record.read_text().replace(good, bad, 1))
+    code = main(["fit", str(record), "--out", str(tmp_path / "fit")])
+    assert code == 2
+    assert bad.partition("=")[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["fit", "{dir}"], "dir"),
+        (["frequencies", "--config", "{dir}"], "dir"),
+        (["fit", "{binary}"], "binary"),
+        (["validate-oracle", "--config", "{binary}"], "binary"),
+        (["frequencies", "--out", "{file}"], "file"),
+    ],
+    ids=["fit-directory", "config-directory", "non-utf8-record",
+         "non-utf8-oracle-config", "out-is-a-file"],
+)
+def test_unusable_path_exits_2_naming_it(tmp_path, capsys, argv, key):
+    paths = {
+        "dir": tmp_path / "a_directory",
+        "binary": tmp_path / "latin1.txt",
+        "file": tmp_path / "plain_file",
+    }
+    paths["dir"].mkdir()
+    paths["binary"].write_bytes(b"# model=caf\xe9\n")
+    paths["file"].write_text("")
+    argv = [arg.format(**paths) for arg in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert str(paths[key]) in capsys.readouterr().err

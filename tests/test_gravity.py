@@ -8,7 +8,6 @@ import pytest
 from gravfringe.config import cesium_tungsten_config, with_updates
 from gravfringe.errors import DomainError, InfeasibleGeometryError
 from gravfringe.gravity import (
-    PotentialProfile,
     frequency_report,
     omega_classical,
     omega_quantum,
@@ -24,18 +23,28 @@ def cfg():
     return cesium_tungsten_config()
 
 
+def si_args(config):
+    """(g1, g2, d1, d2) of a configuration, with SI couplings G m M_i."""
+    gm = config.constants.G * config.particle_mass
+    return (
+        gm * config.mass_left,
+        gm * config.mass_right,
+        config.dist_left,
+        config.dist_right,
+    )
+
+
 def test_potential_frozen_value(cfg):
     # Extended-precision reference for V(0), computed once at 50 digits
     # from the exact decimal inputs (mpmath):
     #   -G*m*(M1/d1 + M2/d2) with d1 = 0.05 + (3*0.02/(4*pi*19300))**(1/3) + 0.001
-    assert PotentialProfile(cfg).potential(0.0) == pytest.approx(
+    assert two_ball_potential(0.0, *si_args(cfg)) == pytest.approx(
         -1.2425881724596989e-35, rel=1e-12
     )
 
 
 def test_potential_matches_pointwise_sum(cfg):
     # independent evaluation straight from Newton's law at scattered points
-    p = PotentialProfile(cfg)
     rng = np.random.default_rng(3)
     c = cfg.constants
     for x in rng.uniform(-0.04, 0.04, 20):
@@ -43,16 +52,18 @@ def test_potential_matches_pointwise_sum(cfg):
             cfg.mass_left / (cfg.dist_left + x)
             + cfg.mass_right / (cfg.dist_right - x)
         )
-        assert p.potential(x) == pytest.approx(expected, rel=1e-15)
+        assert two_ball_potential(x, *si_args(cfg)) == pytest.approx(
+            expected, rel=1e-15
+        )
 
 
 def test_derivatives_match_finite_differences(cfg):
-    p = PotentialProfile(cfg)
+    args = si_args(cfg)
     h = 1e-5
     for order in (1, 2, 3):
         for x in (-0.03, 0.0, 0.02):
             stencil = np.array([x - 2 * h, x - h, x, x + h, x + 2 * h])
-            vals = p.potential(stencil)
+            vals = two_ball_potential(stencil, *args)
             if order == 1:
                 fd = (vals[0] - 8 * vals[1] + 8 * vals[3] - vals[4]) / (12 * h)
             elif order == 2:
@@ -61,12 +72,16 @@ def test_derivatives_match_finite_differences(cfg):
                 )
             else:
                 fd = (-vals[0] + 2 * vals[1] - 2 * vals[3] + vals[4]) / (-2 * h**3)
-            assert p.derivative(x, order=order) == pytest.approx(fd, rel=1e-6)
+            assert two_ball_derivative(x, *args, order=order) == pytest.approx(
+                fd, rel=1e-6
+            )
 
 
 def test_derivative_order_zero_is_potential(cfg):
-    p = PotentialProfile(cfg)
-    assert p.derivative(0.01, order=0) == p.potential(0.01)
+    args = si_args(cfg)
+    assert two_ball_derivative(0.01, *args, order=0) == two_ball_potential(
+        0.01, *args
+    )
 
 
 def test_domain_errors():
@@ -79,9 +94,8 @@ def test_domain_errors():
 
 
 def test_array_input(cfg):
-    p = PotentialProfile(cfg)
     xs = np.linspace(-0.02, 0.02, 7)
-    vals = p.potential(xs)
+    vals = two_ball_potential(xs, *si_args(cfg))
     assert vals.shape == xs.shape
     assert np.all(vals < 0)
 
@@ -94,7 +108,7 @@ def test_omega_classical_equals_force_route(cfg):
     direct = omega_classical(lopsided)
     via_force = (
         lopsided.arm_separation
-        * PotentialProfile(lopsided).derivative(0.0)
+        * two_ball_derivative(0.0, *si_args(lopsided))
         / lopsided.constants.hbar
     )
     assert abs(direct) > 1e-3
@@ -102,9 +116,11 @@ def test_omega_classical_equals_force_route(cfg):
 
 
 def test_omega_quantum_equals_potential_difference(cfg):
-    p = PotentialProfile(cfg)
+    args = si_args(cfg)
     half = cfg.arm_separation / 2
-    expected = (p.potential(half) - p.potential(-half)) / cfg.constants.hbar
+    expected = (
+        two_ball_potential(half, *args) - two_ball_potential(-half, *args)
+    ) / cfg.constants.hbar
     assert omega_quantum(cfg) == pytest.approx(expected, rel=1e-12)
 
 
@@ -120,7 +136,9 @@ def test_small_separation_limit(cfg):
     # (at the nulled geometry both sides vanish and the ratio is noise)
     tiny = with_updates(cfg, arm_separation=1e-6, dist_right=0.09)
     ratio = omega_quantum(tiny) / (
-        tiny.arm_separation * PotentialProfile(tiny).derivative(0.0) / tiny.constants.hbar
+        tiny.arm_separation
+        * two_ball_derivative(0.0, *si_args(tiny))
+        / tiny.constants.hbar
     )
     assert abs(ratio - 1.0) < 1e-8
 
@@ -153,12 +171,6 @@ def test_null_classical_left_side(cfg):
     assert abs(omega_classical(nulled)) < 1e-12 * abs(omega_quantum(nulled))
 
 
-def test_null_bisection_agrees_with_closed_form(cfg):
-    a = solve_null_distance(cfg, "dist_right", method="closed_form")
-    b = solve_null_distance(cfg, "dist_right", method="bisection")
-    assert b == pytest.approx(a, rel=1e-12)
-
-
 def test_null_quantum_distance(cfg):
     d2 = solve_null_quantum_distance(cfg)
     nulled = with_updates(cfg, dist_right=d2)
@@ -180,6 +192,12 @@ def test_null_infeasible_geometry():
     # d1 = d2 / sqrt(M2/M1) collapses below the ball radius.
     with pytest.raises(InfeasibleGeometryError):
         solve_null_distance(with_updates(tight, dist_right=0.35), "dist_left")
+
+
+def test_frequency_report_nulls_equal_the_solvers(cfg):
+    report = frequency_report(cfg)
+    assert report["null_classical_dist_right_m"] == solve_null_distance(cfg)
+    assert report["null_quantum_dist_right_m"] == solve_null_quantum_distance(cfg)
 
 
 def test_frequency_report_keys(cfg):

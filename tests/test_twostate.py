@@ -4,6 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gravfringe.errors import (
     CoherenceGrowthWarning,
@@ -18,15 +21,48 @@ from gravfringe.twostate import (
     Schrodinger,
     TilloyDiosi,
     TwoLevelState,
-    analytic_coherence,
     coherence_matrix,
     derivative,
     eigenvalue_branch,
     evolve,
     spectral_solution,
+    spectral_trajectory,
     steady_state_population,
     trajectory,
 )
+
+unit = st.floats(-1.0, 1.0)
+rates = st.floats(0.0, 1.0)
+named_models = st.one_of(
+    st.builds(Schrodinger, unit),
+    st.builds(ClassicalPoisson, unit),
+    st.builds(TilloyDiosi, rates, unit),
+)
+general_models = st.builds(
+    GeneralLinear,
+    st.complex_numbers(max_magnitude=0.2),
+    st.complex_numbers(max_magnitude=1.0),
+    st.complex_numbers(max_magnitude=1.0),
+)
+sorted_times = st.lists(st.floats(0.0, 120.0), min_size=1, max_size=20).map(sorted)
+
+
+@st.composite
+def states(draw):
+    """Physical states: |rho_LR|^2 <= rho_LL (1 - rho_LL)."""
+    rho_ll = draw(st.floats(0.0, 1.0))
+    radius = draw(st.floats(0.0, 1.0)) * np.sqrt(rho_ll * (1.0 - rho_ll))
+    phase = draw(st.floats(-np.pi, np.pi))
+    return TwoLevelState(rho_ll, radius * np.exp(1j * phase))
+
+
+def _coherence_rate(model) -> complex:
+    """-lambda + i omega of a named model, written out per law."""
+    if isinstance(model, Schrodinger):
+        return 1j * model.omega_q
+    if isinstance(model, ClassicalPoisson):
+        return 1j * model.omega_c
+    return complex(-model.lam, model.omega_g)
 
 
 def test_state_validation():
@@ -56,34 +92,114 @@ def test_derivative_forms():
     assert derivative(g, decohered).d_rho_ll == 0.0
 
 
+@settings(max_examples=40, deadline=None)
+@given(general_models | named_models, states())
+def test_derivative_matches_component_formulas(model, state):
+    # the law as the module docstring writes it, independent of B
+    if isinstance(model, GeneralLinear):
+        g = model
+    else:
+        g = GeneralLinear(0j, _coherence_rate(model))
+    mu1, mu2 = g.a_lr.real, g.a_lr.imag
+    z = state.rho_lr
+    d = derivative(model, state)
+    assert abs(d.d_rho_ll - 2.0 * (mu1 * z.real - mu2 * z.imag)) <= 1e-15
+    assert abs(d.d_rho_lr - (g.b_lr * z + g.b_rl * z.conjugate())) <= 1e-15
+
+
 def test_tilloy_diosi_rejects_negative_rate():
     with pytest.raises(ValueError):
         TilloyDiosi(lam=-0.1, omega_g=0.2)
+    with pytest.raises(ValueError):
+        TilloyDiosi(lam=float("nan"), omega_g=0.2)
 
 
-def test_analytic_coherence_forms():
+def test_spectral_trajectory_named_forms():
     ts = np.linspace(0, 20, 7)
-    c_s = analytic_coherence(Schrodinger(0.22), PLUS_STATE, ts)
+    _, c_s = spectral_trajectory(Schrodinger(0.22), PLUS_STATE, ts)
     assert np.allclose(c_s, 0.5 * np.exp(1j * 0.22 * ts), rtol=1e-15)
     assert np.allclose(np.abs(c_s), 0.5)  # unitary: modulus frozen
 
-    c_td = analytic_coherence(TilloyDiosi(0.05, 0.22), PLUS_STATE, ts)
+    _, c_td = spectral_trajectory(TilloyDiosi(0.05, 0.22), PLUS_STATE, ts)
     assert np.allclose(c_td, 0.5 * np.exp((-0.05 + 0.22j) * ts), rtol=1e-15)
     assert np.all(np.diff(np.abs(c_td)) < 0)  # monotone decay
 
     # zero-decay limit is bitwise the unitary law
-    c_td0 = analytic_coherence(TilloyDiosi(0.0, 0.22), PLUS_STATE, ts)
+    _, c_td0 = spectral_trajectory(TilloyDiosi(0.0, 0.22), PLUS_STATE, ts)
     assert np.array_equal(c_td0, c_s)
 
-    with pytest.raises(UnsupportedModelError):
-        analytic_coherence(GeneralLinear(0j, -0.1 + 0.2j), PLUS_STATE, 1.0)
+
+@settings(max_examples=40, deadline=None)
+@given(named_models, sorted_times, st.floats(-np.pi, np.pi))
+def test_spectral_trajectory_matches_named_exponential(model, times, phase):
+    initial = TwoLevelState(0.5, 0.5 * np.exp(1j * phase))
+    ts = np.array(times)
+    rho_ll, rho_lr = spectral_trajectory(model, initial, ts)
+    expected = initial.rho_lr * np.exp(_coherence_rate(model) * ts)
+    assert np.all(rho_ll == 0.5)
+    assert np.max(np.abs(rho_lr - expected)) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(general_models, states(), sorted_times)
+def test_spectral_solution_is_one_row_of_the_trajectory(model, initial, times):
+    with warnings.catch_warnings():
+        # random laws may grow or leave the physical set; only the
+        # agreement between the two views is under test
+        warnings.simplefilter("ignore")
+        rho_ll, rho_lr = spectral_trajectory(model, initial, times)
+        for t, ll, lr in zip(times, rho_ll, rho_lr):
+            single = spectral_solution(model, initial, t)
+            assert single.rho_ll == ll
+            assert single.rho_lr == lr
+
+
+def _per_sample_reference(model, initial, t):
+    """Unbatched reference: one matrix exponential per time."""
+    augmented = np.zeros((4, 4))
+    augmented[:2, :2] = coherence_matrix(model)
+    augmented[:2, 2:] = np.eye(2)
+    propagated = scipy.linalg.expm(augmented * t)
+    f0 = np.array([initial.rho_lr.real, initial.rho_lr.imag])
+    f_t = propagated[:2, :2] @ f0
+    integral = propagated[:2, 2:] @ f0
+    mu1, mu2 = model.a_lr.real, model.a_lr.imag
+    rho_ll = initial.rho_ll + 2.0 * (mu1 * integral[0] - mu2 * integral[1])
+    return rho_ll, complex(f_t[0], f_t[1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(general_models, sorted_times)
+def test_batched_exponential_matches_per_sample_reference(model, times):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rho_ll, rho_lr = spectral_trajectory(model, PLUS_STATE, times)
+    for t, ll, lr in zip(times, rho_ll, rho_lr):
+        assert (ll, lr) == _per_sample_reference(model, PLUS_STATE, t)
+
+
+def test_spectral_trajectory_warns_once_per_call():
+    # strong population coupling overshoots rho_LL past 1 at many samples
+    model = GeneralLinear(a_lr=2.0 + 0j, b_lr=-0.05 + 0j, b_rl=0j)
+    with pytest.warns(PositivityWarning) as caught:
+        spectral_trajectory(model, PLUS_STATE, np.linspace(0.0, 40.0, 50))
+    assert len(caught) == 1
+    assert "worst defect" in str(caught[0].message)
+
+
+def test_times_must_be_sorted_and_non_negative():
+    for bad in ([], [1.0, 0.5], [-1.0, 2.0], [0.0, np.nan]):
+        with pytest.raises(ValueError, match="times"):
+            spectral_trajectory(Schrodinger(0.2), PLUS_STATE, bad)
+        with pytest.raises(ValueError, match="times"):
+            trajectory(Schrodinger(0.2), PLUS_STATE, bad)
 
 
 def test_evolve_matches_closed_form():
     model = TilloyDiosi(lam=0.13, omega_g=0.7)
     out = evolve(model, PLUS_STATE, 12.0)
     assert out.rho_lr == pytest.approx(
-        analytic_coherence(model, PLUS_STATE, 12.0), abs=1e-11
+        0.5 * np.exp((-0.13 + 0.7j) * 12.0), abs=1e-11
     )
     assert out.rho_ll == pytest.approx(0.5, abs=1e-11)
 
