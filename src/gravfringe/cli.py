@@ -10,7 +10,8 @@ manifest timestamp varies.
 Exit status: 0 on success (for ``validate-oracle``, success includes
 the tolerance check passing), 2 for input problems (bad flags, bad
 documents, infeasible parameters), 3 for numerical failures (norm drift,
-non-convergence, a failed validation).
+non-convergence, arithmetic or linear-algebra breakdown, a failed
+validation).
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ import numpy as np
 from . import __version__
 from .config import (
     ExperimentConfig,
+    _parse_flat_document,
+    _render_flat,
     cesium_tungsten_config,
     load_config,
     serialize_config,
@@ -52,7 +55,13 @@ from .twostate import ClassicalPoisson, GeneralLinear, Schrodinger, TilloyDiosi
 
 __all__ = ["main"]
 
-_NUMERICAL_ERRORS = (IntegrationError, InstabilityError, FitConvergenceError)
+_NUMERICAL_ERRORS = (
+    IntegrationError,
+    InstabilityError,
+    FitConvergenceError,
+    ArithmeticError,
+    np.linalg.LinAlgError,
+)
 
 _SWEEP_FIELDS = {
     "d1": "dist_left",
@@ -206,15 +215,6 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------- manifest
 
 
-def _kv_pairs(text: str) -> dict[str, str]:
-    """Flat ``key = value`` document -> ordered string dict (echo only)."""
-    out: dict[str, str] = {}
-    for line in text.strip().splitlines():
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
-    return out
-
-
 def _jsonable(value: object) -> object:
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
@@ -228,7 +228,7 @@ class _Manifest:
         self,
         out_dir: Path,
         subcommand: str,
-        config_echo: dict[str, str],
+        config_echo: dict[str, object],
         seed: int | None,
         options: dict[str, object],
     ) -> None:
@@ -265,14 +265,12 @@ def _resolve_experiment_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def _cmd_frequencies(args: argparse.Namespace, out_dir: Path) -> int:
     config = _resolve_experiment_config(args)
-    manifest = _Manifest(
-        out_dir, "frequencies", _kv_pairs(serialize_config(config)), args.seed, {}
-    )
-    report = frequency_report(config)
-    lines = [f"{key} = {value!r}" for key, value in report.items()]
-    (out_dir / "frequencies.txt").write_text("\n".join(lines) + "\n")
+    echo = _parse_flat_document(serialize_config(config), "config")
+    manifest = _Manifest(out_dir, "frequencies", echo, args.seed, {})
+    report = _render_flat(frequency_report(config).items())
+    (out_dir / "frequencies.txt").write_text(report)
     manifest.finalize("frequencies.txt")
-    print("\n".join(lines))
+    print(report, end="")
     return 0
 
 
@@ -350,9 +348,8 @@ def _cmd_simulate(args: argparse.Namespace, out_dir: Path) -> int:
         "b_lr": args.b_lr,
         "b_rl": args.b_rl,
     }
-    manifest = _Manifest(
-        out_dir, "simulate", _kv_pairs(serialize_config(config)), args.seed, options
-    )
+    echo = _parse_flat_document(serialize_config(config), "config")
+    manifest = _Manifest(out_dir, "simulate", echo, args.seed, options)
     times = np.linspace(0.0, args.duration, args.samples)
     record = synthesize_record(
         model, times, noise_sd=args.noise_sd, seed=args.seed
@@ -375,9 +372,8 @@ def _cmd_sweep(args: argparse.Namespace, out_dir: Path) -> int:
         "max": args.hi,
         "steps": args.steps,
     }
-    manifest = _Manifest(
-        out_dir, "sweep", _kv_pairs(serialize_config(config)), args.seed, options
-    )
+    echo = _parse_flat_document(serialize_config(config), "config")
+    manifest = _Manifest(out_dir, "sweep", echo, args.seed, options)
     # closed-form evaluations at microsecond scale: computed in order,
     # which is already the deterministic ordering the output promises
     rows = [f"# parameter={args.parameter},field={field}"]
@@ -404,12 +400,11 @@ def _cmd_validate_oracle(args: argparse.Namespace, out_dir: Path) -> int:
     else:
         config = load_oracle_config(args.config)
     tolerance = 0.05 if args.tolerance is None else args.tolerance
+    echo = _parse_flat_document(
+        serialize_oracle_config(config), "oracle config", text_keys={"potential"}
+    )
     manifest = _Manifest(
-        out_dir,
-        "validate-oracle",
-        _kv_pairs(serialize_oracle_config(config)),
-        args.seed,
-        {"tolerance": tolerance},
+        out_dir, "validate-oracle", echo, args.seed, {"tolerance": tolerance}
     )
     report = run_validation(config, tolerance=tolerance)
     write_report(report, out_dir / "oracle_report.txt")
@@ -430,9 +425,9 @@ def _cmd_fit(args: argparse.Namespace, out_dir: Path) -> int:
     options = {"record": str(args.record), "tolerance": args.tolerance}
     config_echo = {
         "model": record.model,
-        "seed": str(record.seed),
-        "noise_sd": repr(record.noise_sd),
-        "n_samples": str(record.times.size),
+        "seed": record.seed,
+        "noise_sd": record.noise_sd,
+        "n_samples": record.times.size,
     }
     manifest = _Manifest(out_dir, "fit", config_echo, args.seed, options)
     if args.tolerance is None:

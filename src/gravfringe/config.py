@@ -9,15 +9,16 @@ superposition midpoint to the ball centres, so the left arm sits at
 
 Configurations are stored as flat ``key = value`` text documents with
 ``#`` comments.  Parsing is fail-closed: unknown keys, duplicate keys,
-missing required keys, and non-numeric values are all named errors, so a
-typo cannot silently fall back to a default.  Masses of the probe
-particle are given in atomic mass units in the document and converted to
-kilograms on load; everything in memory is SI.
+missing required keys, and values that are not finite numbers are all
+named errors, so a typo cannot silently fall back to a default.  Masses
+of the probe particle are given in atomic mass units in the document and
+converted to kilograms on load; everything in memory is SI.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -153,14 +154,17 @@ _OPTIONAL_KEYS = (
 _ALL_KEYS = frozenset(_REQUIRED_KEYS) | frozenset(_OPTIONAL_KEYS)
 
 
-def _parse_flat_document(text: str, context: str) -> dict[str, float]:
-    """Parse ``key = value`` lines into a dict of floats, fail-closed.
+def _parse_flat_document(
+    text: str, context: str, text_keys: frozenset[str] | set[str] = frozenset()
+) -> dict[str, float | str]:
+    """Parse ``key = value`` lines into a dict, fail-closed.
 
-    Shared by the experiment-config and oracle-config loaders; ``context``
-    names the document kind in error messages.  String-valued keys are
-    not handled here; callers that allow them pre-extract them.
+    The one reader of every flat document the package writes; ``context``
+    names the document kind in error messages.  Keys in ``text_keys``
+    keep their value as a string; every other value must be a finite
+    number, so ``nan`` and ``inf`` are rejected naming the key and line.
     """
-    values: dict[str, float] = {}
+    values: dict[str, float | str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -176,14 +180,42 @@ def _parse_flat_document(text: str, context: str) -> dict[str, float]:
             raise ConfigParseError(f"{context} line {lineno}: empty key")
         if key in values:
             raise ConfigParseError(f"{context} line {lineno}: duplicate key {key!r}")
+        if key in text_keys:
+            values[key] = value
+            continue
         try:
-            values[key] = float(value)
+            number = float(value)
         except ValueError:
+            number = math.nan
+        if not math.isfinite(number):
             raise ConfigParseError(
-                f"{context} line {lineno}: value for {key!r} is not a number: "
-                f"{value!r}"
-            ) from None
+                f"{context} line {lineno}: value for {key!r} is not a finite "
+                f"number: {value!r}"
+            )
+        values[key] = number
     return values
+
+
+def _render_flat(pairs: Iterable[tuple[str, object]]) -> str:
+    """Render ``(key, value)`` pairs as ``key = value`` lines.
+
+    The one writer of every flat document: ``None`` values are skipped,
+    bools print as ``true``/``false``, ints and strings print unchanged
+    and everything else as ``repr(float(value))``, which reads back
+    bit-exactly.
+    """
+    lines = []
+    for key, value in pairs:
+        if value is None:
+            continue
+        if isinstance(value, bool):
+            rendered = str(value).lower()
+        elif isinstance(value, (int, str)):
+            rendered = str(value)
+        else:
+            rendered = repr(float(value))
+        lines.append(f"{key} = {rendered}\n")
+    return "".join(lines)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -227,8 +259,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def _amu_value(mass_kg: float, amu: float) -> float:
     """Mass in amu whose reload reproduces ``mass_kg`` bit-exactly.
 
-    ``(m/a)*a == m`` holds for almost every double; when rounding breaks
-    it, one of the two neighbouring representables is an exact preimage.
+    ``(m/a)*a == m`` holds for most doubles; when rounding breaks it, one
+    of the two neighbouring representables is usually an exact preimage.
+    Some kg values have no preimage at all; they reload one ulp off.
     """
     r = mass_kg / amu
     if r * amu == mass_kg:
@@ -243,28 +276,27 @@ def serialize_config(config: ExperimentConfig) -> str:
     """Render a configuration as a document that reloads identically.
 
     ``load_config`` of the result reproduces ``config`` exactly,
-    including the stored SI particle mass.
+    including the stored SI particle mass whenever that mass is some
+    double times ``constants.amu``, as every loaded or built-in
+    config's is (see :func:`_amu_value` for the other case).
     """
     c = config.constants
-    lines = [
-        "# interferometer configuration",
-        f"particle_mass_amu = {_amu_value(config.particle_mass, c.amu)!r}",
-        f"arm_separation_m = {config.arm_separation!r}",
-        f"mass_left_kg = {config.mass_left!r}",
-        f"mass_right_kg = {config.mass_right!r}",
-        f"dist_left_m = {config.dist_left!r}",
-        f"dist_right_m = {config.dist_right!r}",
-        f"source_density_kg_m3 = {config.source_density!r}",
-        f"hold_time_s = {config.hold_time!r}",
-    ]
     defaults = PhysicalConstants()
-    if c.G != defaults.G:
-        lines.append(f"gravitational_constant_si = {c.G!r}")
-    if c.hbar != defaults.hbar:
-        lines.append(f"hbar_js = {c.hbar!r}")
-    if c.amu != defaults.amu:
-        lines.append(f"atomic_mass_unit_kg = {c.amu!r}")
-    return "\n".join(lines) + "\n"
+    return "# interferometer configuration\n" + _render_flat(
+        [
+            ("particle_mass_amu", _amu_value(config.particle_mass, c.amu)),
+            ("arm_separation_m", config.arm_separation),
+            ("mass_left_kg", config.mass_left),
+            ("mass_right_kg", config.mass_right),
+            ("dist_left_m", config.dist_left),
+            ("dist_right_m", config.dist_right),
+            ("source_density_kg_m3", config.source_density),
+            ("hold_time_s", config.hold_time),
+            ("gravitational_constant_si", c.G if c.G != defaults.G else None),
+            ("hbar_js", c.hbar if c.hbar != defaults.hbar else None),
+            ("atomic_mass_unit_kg", c.amu if c.amu != defaults.amu else None),
+        ]
+    )
 
 
 def save_config(config: ExperimentConfig, path: str | Path) -> None:

@@ -23,13 +23,14 @@ record never touches the generator at all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 from scipy.optimize import least_squares
 from scipy.signal import hilbert, lombscargle
 
+from .config import _parse_flat_document, _render_flat
 from .errors import (
     FitConvergenceError,
     InsufficientSpanError,
@@ -396,45 +397,33 @@ _COV_NAMES = ("lambda", "omega", "contrast")
 
 def write_fit_result(fit: FitResult, path: str | Path) -> None:
     """Serialise a fit as a flat key/value text block."""
-    lines = [
-        f"lambda_hat = {fit.lambda_hat!r}",
-        f"omega_hat = {fit.omega_hat!r}",
-        f"contrast_hat = {fit.contrast_hat!r}",
-        f"phase_hat = {fit.phase_hat!r}",
-        f"residual_norm = {fit.residual_norm!r}",
-        f"n_samples = {fit.n_samples}",
-        f"lambda_at_bound = {str(fit.lambda_at_bound).lower()}",
+    pairs = [
+        (f.name, getattr(fit, f.name)) for f in fields(fit) if f.name != "covariance"
     ]
-    for i, a in enumerate(_COV_NAMES):
-        for j, b in enumerate(_COV_NAMES):
-            if j < i:
-                continue
-            lines.append(f"cov_{a}_{b} = {float(fit.covariance[i, j])!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    pairs += [
+        (f"cov_{a}_{b}", fit.covariance[i, j])
+        for i, a in enumerate(_COV_NAMES)
+        for j, b in enumerate(_COV_NAMES[i:], start=i)
+    ]
+    Path(path).write_text(_render_flat(pairs))
 
 
 def read_fit_result(path: str | Path) -> FitResult:
     """Read a fit result written by :func:`write_fit_result`."""
-    values: dict[str, str] = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+    values = _parse_flat_document(
+        Path(path).read_text(), f"fit result {path}", text_keys={"lambda_at_bound"}
+    )
     covariance = np.zeros((3, 3))
     for i, a in enumerate(_COV_NAMES):
-        for j, b in enumerate(_COV_NAMES):
-            if j < i:
-                continue
-            covariance[i, j] = covariance[j, i] = float(values[f"cov_{a}_{b}"])
+        for j, b in enumerate(_COV_NAMES[i:], start=i):
+            covariance[i, j] = covariance[j, i] = values[f"cov_{a}_{b}"]
     return FitResult(
-        lambda_hat=float(values["lambda_hat"]),
-        omega_hat=float(values["omega_hat"]),
-        contrast_hat=float(values["contrast_hat"]),
-        phase_hat=float(values["phase_hat"]),
+        lambda_hat=values["lambda_hat"],
+        omega_hat=values["omega_hat"],
+        contrast_hat=values["contrast_hat"],
+        phase_hat=values["phase_hat"],
         covariance=covariance,
-        residual_norm=float(values["residual_norm"]),
+        residual_norm=values["residual_norm"],
         n_samples=int(values["n_samples"]),
         lambda_at_bound=values["lambda_at_bound"] == "true",
     )

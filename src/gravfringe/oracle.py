@@ -18,12 +18,12 @@ against the closed-form frequencies for the same potential.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .config import _parse_flat_document
+from .config import _parse_flat_document, _render_flat
 from .errors import ConfigParseError, ConfigValidationError
 from .gravity import two_ball_derivative, two_ball_potential
 from .phasespace import (
@@ -258,59 +258,31 @@ def default_scaled_config() -> OracleConfig:
 
 # ----------------------------------------------------------------- parsing
 
-_ALL_KEYS = frozenset(
-    ("potential", "arm_separation", "packet_width", "hbar", "mass", "hold_time")
-    + _TWO_BALL_KEYS
-    + _QUADRATIC_KEYS
-    + _INT_KEYS
-    + _SPAN_KEYS
-)
-_REQUIRED_KEYS = ("potential", "arm_separation", "packet_width")
+_ALL_KEYS = frozenset(f.name for f in fields(OracleConfig))
+_REQUIRED_KEYS = tuple(f.name for f in fields(OracleConfig) if f.default is MISSING)
 
 
 def parse_oracle_config(text: str) -> OracleConfig:
     """Parse a flat ``key = value`` oracle document.
 
     Same format and failure discipline as the experiment config;
-    ``potential`` is the single string-valued key and is pulled out
-    before numeric parsing.
+    ``potential`` is the single string-valued key.
     """
-    potential: str | None = None
-    numeric_lines: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        key = line.partition("=")[0].strip() if "=" in line else None
-        if key == "potential":
-            if potential is not None:
-                raise ConfigParseError(
-                    f"oracle config line {lineno}: duplicate key 'potential'"
-                )
-            potential = line.partition("=")[2].strip()
-            continue
-        numeric_lines.append(raw)
-    values = _parse_flat_document("\n".join(numeric_lines), "oracle config")
-
+    values = _parse_flat_document(text, "oracle config", text_keys={"potential"})
     unknown = sorted(set(values) - _ALL_KEYS)
     if unknown:
         raise ConfigParseError(f"unknown oracle config key(s): {', '.join(unknown)}")
-    if potential is None:
-        raise ConfigParseError("missing required oracle config key(s): potential")
-    missing = sorted(
-        k for k in _REQUIRED_KEYS if k != "potential" and k not in values
-    )
+    missing = sorted(k for k in _REQUIRED_KEYS if k not in values)
     if missing:
         raise ConfigParseError(
             f"missing required oracle config key(s): {', '.join(missing)}"
         )
-    kwargs: dict[str, object] = {"potential": potential}
-    for key, value in values.items():
-        if key in _INT_KEYS:
-            if not float(value).is_integer():
+    for key in _INT_KEYS:
+        if key in values:
+            if not values[key].is_integer():
                 raise ConfigParseError(f"oracle config key {key!r} must be an integer")
-            kwargs[key] = int(value)
-        else:
-            kwargs[key] = value
-    return OracleConfig(**kwargs)
+            values[key] = int(values[key])
+    return OracleConfig(**values)
 
 
 def load_oracle_config(path: str | Path) -> OracleConfig:
@@ -320,19 +292,7 @@ def load_oracle_config(path: str | Path) -> OracleConfig:
 
 def serialize_oracle_config(config: OracleConfig) -> str:
     """Round-trippable flat document for an oracle configuration."""
-    lines = []
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if value is None:
-            continue
-        if isinstance(value, str):
-            rendered = value
-        elif isinstance(value, int):
-            rendered = str(value)
-        else:
-            rendered = repr(float(value))
-        lines.append(f"{f.name} = {rendered}")
-    return "\n".join(lines) + "\n"
+    return _render_flat((f.name, getattr(config, f.name)) for f in fields(config))
 
 
 def save_oracle_config(config: OracleConfig, path: str | Path) -> None:
@@ -376,35 +336,12 @@ class OracleReport:
 
     def lines(self) -> list[str]:
         """Flat ``key = value`` rendering, config echo included."""
-        out = []
-        for f in fields(self.config):
-            value = getattr(self.config, f.name)
-            if value is None:
-                continue
-            if isinstance(value, str):
-                out.append(f"{f.name} = {value}")
-            elif isinstance(value, int):
-                out.append(f"{f.name} = {value}")
-            else:
-                out.append(f"{f.name} = {float(value)!r}")
-        for name in (
-            "tolerance",
-            "omega_classical_predicted",
-            "omega_quantum_predicted",
-            "omega_poisson_measured",
-            "omega_moyal_measured",
-            "reference_scale",
-            "poisson_abs_error",
-            "moyal_abs_error",
-            "truncation_tail",
-            "coherence_initial",
-            "coherence_final",
-        ):
-            out.append(f"{name} = {getattr(self, name)!r}")
-        out.append(f"poisson_pass = {str(self.poisson_pass).lower()}")
-        out.append(f"moyal_pass = {str(self.moyal_pass).lower()}")
-        out.append(f"passed = {str(self.passed).lower()}")
-        return out
+        measured = [
+            (f.name, getattr(self, f.name)) for f in fields(self) if f.name != "config"
+        ]
+        measured.append(("passed", self.passed))
+        text = serialize_oracle_config(self.config) + _render_flat(measured)
+        return text.splitlines()
 
 
 def _phase_slope(

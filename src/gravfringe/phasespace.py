@@ -66,7 +66,7 @@ from .errors import (
     InstabilityError,
     NonOrthogonalPacketsError,
 )
-from .gravity import two_ball_derivative, two_ball_potential
+from .gravity import two_ball_derivative
 
 __all__ = [
     "WignerGrid",
@@ -179,29 +179,26 @@ def _as_order(order: BracketOrder | int) -> BracketOrder:
 
 @dataclass(frozen=True)
 class HamiltonianField:
-    """H = p^2 / (2 mass) + V(q), with V sampled on the grid axis.
+    """H = p^2 / (2 mass) + V(q), carried by the derivatives of V.
 
-    ``derivatives[k - 1]`` holds V^(k) on ``q_axis`` for k = 1 ...
-    ``max_order``.  Constructors fill these from closed forms.
+    Transport only ever needs V' and higher, so ``derivatives[k - 1]``
+    holds V^(k) on ``q_axis`` for k = 1 ... ``max_order`` and V itself
+    is not stored.  Constructors fill the rows from closed forms.
     """
 
     mass: float
     q_axis: np.ndarray
-    potential: np.ndarray
     derivatives: np.ndarray  # shape (max_order, n_q)
 
     def __post_init__(self) -> None:
         q = np.asarray(self.q_axis, dtype=float)
         object.__setattr__(self, "q_axis", q)
-        object.__setattr__(self, "potential", np.asarray(self.potential, dtype=float))
         object.__setattr__(
             self, "derivatives", np.asarray(self.derivatives, dtype=float)
         )
         if not self.mass > 0.0:
             raise ValueError("mass must be strictly positive")
         _check_uniform(q, "q")
-        if self.potential.shape != q.shape:
-            raise GridError("potential samples must match the q axis")
         if self.derivatives.ndim != 2 or self.derivatives.shape[1] != q.size:
             raise GridError("derivative rows must match the q axis")
 
@@ -239,14 +236,13 @@ class HamiltonianField:
                 "grid reaches a ball centre: the q axis must lie inside "
                 f"(-{dist_left!r}, {dist_right!r})"
             )
-        pot = two_ball_potential(q, coupling_left, coupling_right, dist_left, dist_right)
         rows = [
             two_ball_derivative(
                 q, coupling_left, coupling_right, dist_left, dist_right, order=k
             )
             for k in range(1, max_order + 1)
         ]
-        return cls(mass, q, pot, np.vstack(rows))
+        return cls(mass, q, np.vstack(rows))
 
     @classmethod
     def from_quadratic(
@@ -259,12 +255,11 @@ class HamiltonianField:
     ) -> "HamiltonianField":
         """V(q) = curvature * q^2 + slope * q (all higher derivatives 0)."""
         q = np.asarray(q_axis, dtype=float)
-        pot = curvature * q * q + slope * q
         rows = np.zeros((max_order, q.size))
         rows[0] = 2.0 * curvature * q + slope
         if max_order >= 2:
             rows[1] = 2.0 * curvature
-        return cls(mass, q, pot, rows)
+        return cls(mass, q, rows)
 
 
 def _require_aligned(h: HamiltonianField, w: WignerGrid) -> None:
@@ -553,7 +548,7 @@ def evolve_wigner(
             values = _along(values, half, axis=1)
     out = WignerGrid(w.q_axis, w.p_axis, values, hbar=w.hbar, time=w.time + t)
     drift = abs(out.norm() - w.norm())
-    if drift > _EVOLUTION_NORM_SLACK:
+    if not drift <= _EVOLUTION_NORM_SLACK:
         raise InstabilityError(
             f"evolution stopped conserving probability (drift {drift:.3g})"
         )

@@ -4,14 +4,20 @@ All invocations run in-process through ``main(argv)`` so exit codes and
 outputs are observable without subprocess overhead.
 """
 
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gravfringe.cli import main
-from gravfringe.config import cesium_tungsten_config, save_config
+from gravfringe.config import cesium_tungsten_config, save_config, serialize_config
 from gravfringe.fringe import read_fit_result, read_record
+from gravfringe.oracle import load_oracle_config, serialize_oracle_config
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 QUADRATIC_ORACLE_DOC = """
 potential = quadratic
@@ -36,6 +42,17 @@ def read_kv(path):
         key, _, value = line.partition("=")
         out[key.strip()] = value.strip()
     return out
+
+
+def config_with(tmp_path, name, key, value):
+    """Copy of ``configs/<name>`` with one key's value replaced."""
+    text, count = re.subn(
+        rf"(?m)^{key} = .*$", f"{key} = {value}", (CONFIGS / name).read_text()
+    )
+    assert count == 1
+    path = tmp_path / name
+    path.write_text(text)
+    return path
 
 
 def read_sweep(path):
@@ -443,3 +460,108 @@ def test_unusable_path_exits_2_naming_it(tmp_path, capsys, argv, key):
         argv += ["--out", str(tmp_path / "out")]
     assert main(argv) == 2
     assert str(paths[key]) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, name, key, value",
+    [
+        (["validate-oracle"], "oracle_quadratic.cfg", "quad_slope", "nan"),
+        (["validate-oracle"], "oracle_quadratic.cfg", "quad_curvature", "nan"),
+        (["validate-oracle"], "oracle_two_ball.cfg", "coupling_left", "nan"),
+        (["validate-oracle"], "oracle_two_ball.cfg", "dist_right", "nan"),
+        (["validate-oracle"], "oracle_two_ball.cfg", "hbar", "inf"),
+        (["simulate", "--model", "schrodinger", "--duration", "10"],
+         "cesium_tungsten.cfg", "particle_mass_amu", "inf"),
+        (["frequencies"], "cesium_tungsten.cfg", "particle_mass_amu", "inf"),
+    ],
+    ids=["quad_slope", "quad_curvature", "coupling_left", "dist_right", "hbar",
+         "simulate-particle_mass_amu", "frequencies-particle_mass_amu"],
+)
+def test_non_finite_config_value_exits_2_naming_it(
+    tmp_path, capsys, argv, name, key, value
+):
+    path = config_with(tmp_path, name, key, value)
+    code = main([*argv, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        # Omega overflows to a NaN grid, which must fail the norm check
+        ("quad_curvature", "1e306", "conserving probability"),
+        # sigma^2 underflows to 0 in the packet overlap
+        ("packet_width", "1e-300", "division by zero"),
+        # snapshot times collapse and the phase fit's SVD breaks down
+        ("hold_time", "1e-300", "SVD"),
+    ],
+)
+def test_numerical_breakdown_exits_3(tmp_path, capsys, key, value, message):
+    path = config_with(tmp_path, "oracle_quadratic.cfg", key, value)
+    with np.errstate(all="ignore"):
+        code = main(["validate-oracle", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and message in err
+
+
+# ---------------------------------------------------------------- manifest
+
+
+@pytest.mark.parametrize(
+    "subcommand", ["frequencies", "simulate", "sweep", "validate-oracle", "fit"]
+)
+def test_manifest_config_echo_is_the_parsed_document(tmp_path, capsys, subcommand):
+    simulate = ["simulate", "--model", "schrodinger", "--duration", "60",
+                "--noise-sd", "0.01", "--seed", "3"]
+    record = tmp_path / "sim" / "record.csv"
+    argv = {
+        "frequencies": ["frequencies"],
+        "simulate": simulate,
+        "sweep": ["sweep", "--parameter", "d2", "--min", "0.06", "--max", "0.11",
+                  "--steps", "3"],
+        "validate-oracle": ["validate-oracle", "--config",
+                            str(CONFIGS / "oracle_quadratic.cfg")],
+        "fit": ["fit", str(record)],
+    }[subcommand]
+    if subcommand == "fit":
+        assert main([*simulate, "--out", str(tmp_path / "sim")]) == 0
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    echo = json.loads((out / "manifest.json").read_text())["config"]
+    assert not any(key.startswith("#") for key in echo)
+
+    if subcommand == "fit":
+        # the record header plus its sample count; no flat document
+        back = read_record(record)
+        resolved = {"model": back.model, "seed": back.seed,
+                    "noise_sd": back.noise_sd, "n_samples": back.times.size}
+        document = None
+    elif subcommand == "validate-oracle":
+        cfg = load_oracle_config(CONFIGS / "oracle_quadratic.cfg")
+        resolved = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)
+                    if getattr(cfg, f.name) is not None}
+        document = serialize_oracle_config(cfg)
+    else:
+        cfg = cesium_tungsten_config()
+        echo["particle_mass_amu"] *= cfg.constants.amu  # compare in kg
+        resolved = {
+            "particle_mass_amu": cfg.particle_mass,
+            "arm_separation_m": cfg.arm_separation,
+            "mass_left_kg": cfg.mass_left,
+            "mass_right_kg": cfg.mass_right,
+            "dist_left_m": cfg.dist_left,
+            "dist_right_m": cfg.dist_right,
+            "source_density_kg_m3": cfg.source_density,
+            "hold_time_s": cfg.hold_time,
+        }
+        document = serialize_config(cfg)
+    assert list(echo) == list(resolved)
+    if document is not None:
+        assert list(echo) == [line.split(" = ")[0] for line in document.splitlines()
+                              if not line.startswith("#")]
+    # JSON values, not strings: numbers stay numbers, text stays text
+    assert echo == resolved

@@ -1,13 +1,18 @@
 """Configuration parsing, validation, and round-trip behaviour."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gravfringe.config import (
     ExperimentConfig,
     PhysicalConstants,
+    _parse_flat_document,
+    _render_flat,
     ball_radius,
     cesium_tungsten_config,
     load_config,
@@ -149,3 +154,86 @@ def test_direct_construction_validates():
             dist_right=0.09,
             hold_time=-1.0,
         )
+
+
+# ------------------------------------------------------------------ codec
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+flat_keys = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]*", fullmatch=True)
+flat_values = st.one_of(
+    finite_floats,
+    st.integers(-(2**53) + 1, 2**53 - 1),
+    st.booleans(),
+    st.from_regex(r"[a-z_]+", fullmatch=True),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.dictionaries(flat_keys, flat_values, max_size=12))
+def test_flat_document_round_trips(pairs):
+    text_keys = {k for k, v in pairs.items() if isinstance(v, (bool, str))}
+    back = _parse_flat_document(_render_flat(pairs.items()), "doc", text_keys)
+    assert list(back) == list(pairs)
+    for key, value in pairs.items():
+        if isinstance(value, bool):
+            assert back[key] == ("true" if value else "false")
+        elif isinstance(value, float):
+            assert back[key].hex() == value.hex()  # bit-exact, signed zero too
+        else:
+            assert back[key] == value
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.dictionaries(flat_keys, finite_floats, min_size=1, max_size=8),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.data(),
+)
+def test_non_finite_value_rejected_naming_its_key(pairs, bad, data):
+    key = data.draw(st.sampled_from(sorted(pairs)))
+    pairs[key] = bad
+    with pytest.raises(ConfigParseError, match=re.escape(repr(key))):
+        _parse_flat_document(_render_flat(pairs.items()), "doc")
+
+
+def test_render_flat_skips_none_and_spells_bools():
+    pairs = [("a", None), ("b", True), ("c", 2), ("d", np.float64(0.1))]
+    assert _render_flat(pairs) == "b = true\nc = 2\nd = 0.1\n"
+
+
+@st.composite
+def experiment_configs(draw):
+    positive = st.floats(1e-3, 1e3)
+    constants = draw(
+        st.just(PhysicalConstants())
+        | st.builds(
+            PhysicalConstants,
+            G=st.floats(1e-12, 1e-9),
+            hbar=st.floats(1e-35, 1e-33),
+            amu=st.floats(1e-28, 1e-26),
+        )
+    )
+    density = draw(st.floats(1e2, 1e5))
+    arm = draw(st.floats(1e-3, 1.0))
+    mass_left, mass_right = draw(positive), draw(positive)
+    gap = st.floats(1e-3, 1.0)
+    return ExperimentConfig(
+        # the document carries the probe mass in amu, so only masses of
+        # the form x * amu reload exactly; a kg value off that lattice
+        # has no preimage at all
+        particle_mass=draw(st.floats(1.0, 1e6)) * constants.amu,
+        arm_separation=arm,
+        mass_left=mass_left,
+        mass_right=mass_right,
+        dist_left=arm / 2 + ball_radius(mass_left, density) + draw(gap),
+        dist_right=arm / 2 + ball_radius(mass_right, density) + draw(gap),
+        source_density=density,
+        hold_time=draw(st.floats(0.0, 1e4)),
+        constants=constants,
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(experiment_configs())
+def test_serialize_parse_is_identity(cfg):
+    assert parse_config(serialize_config(cfg)) == cfg

@@ -9,6 +9,8 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gravfringe.errors import ConfigParseError, ConfigValidationError, DomainError
 from gravfringe.oracle import (
@@ -177,6 +179,59 @@ def test_serialize_parse_round_trip(tmp_path):
     # quadratic configs round-trip too, including the filled curvature
     quad = quadratic_config()
     assert parse_oracle_config(serialize_oracle_config(quad)) == quad
+
+
+@st.composite
+def oracle_configs(draw):
+    kind = draw(st.sampled_from(["two_ball", "quadratic"]))
+    arm = draw(st.floats(0.5, 10.0))
+    hbar = draw(st.floats(0.1, 10.0))
+    n_p = draw(st.integers(8, 1024))
+    # explicit momentum span inside the four-samples-per-fringe limit
+    half_p = draw(st.floats(0.05, 1.0)) * n_p * math.pi * hbar / (4.0 * arm)
+    if kind == "two_ball":
+        gap = st.floats(0.5, 50.0)
+        field = {
+            "coupling_left": draw(st.floats(1e-3, 1e3)),
+            "coupling_right": draw(st.floats(1e-3, 1e3)),
+            "dist_left": arm / 2 + draw(gap),
+            "dist_right": arm / 2 + draw(gap),
+        }
+    else:
+        field = {
+            "quad_slope": draw(st.floats(-10.0, 10.0)),
+            "quad_curvature": draw(st.none() | st.floats(-10.0, 10.0)),
+        }
+    q_span = draw(st.none() | st.tuples(st.floats(-50.0, -1.0), st.floats(1.0, 50.0)))
+    probe = OracleConfig(
+        potential=kind,
+        arm_separation=arm,
+        packet_width=draw(st.floats(0.01, 2.0)),
+        hbar=hbar,
+        mass=draw(st.floats(0.1, 10.0)),
+        n_q=draw(st.integers(8, 1024)),
+        n_p=n_p,
+        n_max=draw(st.integers(0, 6)),
+        n_snapshots=draw(st.integers(3, 30)),
+        hold_time=1e-9,
+        q_lo=None if q_span is None else q_span[0],
+        q_hi=None if q_span is None else q_span[1],
+        p_lo=-half_p,
+        p_hi=half_p,
+        **field,
+    )
+    # a hold time whose snapshots stay inside the phase-unwrapping limit
+    fastest = max(map(abs, probe.predicted_frequencies()))
+    limit = 1e4
+    if fastest > 0.0:
+        limit = min(limit, math.pi / 2 * (probe.n_snapshots - 1) / fastest)
+    return dataclasses.replace(probe, hold_time=draw(st.floats(0.01, 0.99)) * limit)
+
+
+@settings(max_examples=50, deadline=None)
+@given(oracle_configs())
+def test_serialize_parse_is_identity(cfg):
+    assert parse_oracle_config(serialize_oracle_config(cfg)) == cfg
 
 
 # ---------------------------------------------------------------- defaults
