@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .errors import ConfigParseError, ConfigValidationError, DomainError
@@ -50,10 +50,15 @@ class PhysicalConstants:
     amu: float = 1.66053906660e-27  # atomic mass unit, kg
 
     def __post_init__(self) -> None:
-        for name in ("G", "hbar", "amu"):
-            if not getattr(self, name) > 0.0:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
                 raise ConfigValidationError(
-                    f"physical constant {name} must be strictly positive"
+                    f"physical constant {f.name} must be finite"
+                )
+            if not value > 0.0:
+                raise ConfigValidationError(
+                    f"physical constant {f.name} must be strictly positive"
                 )
 
 
@@ -63,6 +68,7 @@ class ExperimentConfig:
 
     Invariants enforced at construction:
 
+    * every float field is finite,
     * all masses, distances and the density are strictly positive,
     * ``hold_time`` is non-negative,
     * each ball centre lies outside the superposition span and the ball
@@ -81,6 +87,9 @@ class ExperimentConfig:
     constants: PhysicalConstants = field(default_factory=PhysicalConstants)
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.name != "constants" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigValidationError(f"{f.name} must be finite")
         positive = {
             "particle_mass": self.particle_mass,
             "arm_separation": self.arm_separation,

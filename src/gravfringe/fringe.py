@@ -28,7 +28,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy.optimize import least_squares
-from scipy.signal import hilbert, lombscargle
 
 from .config import _parse_flat_document, _render_flat
 from .errors import (
@@ -280,11 +279,28 @@ def _periodogram_peak(times: np.ndarray, signal: np.ndarray) -> float:
             shift = 0.5 * (a - c) / denom if denom != 0.0 else 0.0
             return float(freqs[k] + shift * (freqs[1] - freqs[0]))
         return float(freqs[k])
-    # non-uniform: scan up to the mean Nyquist rate
+    # non-uniform: scan up to the mean Nyquist rate; scipy.signal is
+    # imported here because no other path of the package needs it
+    from scipy.signal import lombscargle
+
     omega_max = math.pi / float(np.mean(dt))
     omegas = np.linspace(2.0 * math.pi / span / 4.0, omega_max, 4096)
     power = lombscargle(times, detrended, omegas)
     return float(omegas[np.argmax(power)])
+
+
+def _analytic_signal(x: np.ndarray) -> np.ndarray:
+    """Analytic signal of a real 1-d array, bit-identical to scipy's ``hilbert``.
+
+    The one-sided spectrum comes from ``rfft``: the positive-frequency
+    bins are doubled, DC and (for even lengths) Nyquist kept once, and
+    the negative half left zero.
+    """
+    n = len(x)
+    spectrum = np.zeros(n, dtype=complex)
+    spectrum[: n // 2 + 1] = np.fft.rfft(x)
+    spectrum[1 : (n + 1) // 2] *= 2.0
+    return np.fft.ifft(spectrum)
 
 
 def _envelope_seed(
@@ -296,7 +312,7 @@ def _envelope_seed(
     the record, clipped to non-negative decay.
     """
     detrended = signal - signal.mean()
-    envelope = np.abs(hilbert(detrended))
+    envelope = np.abs(_analytic_signal(detrended))
     n = len(times)
     inner = slice(n // 10, n - n // 10 or None)
     t_in = times[inner]

@@ -100,6 +100,13 @@ class OracleConfig:
                 f"unknown potential kind {self.potential!r}; "
                 f"expected one of {', '.join(_POTENTIAL_KINDS)}"
             )
+        for f in fields(self):
+            # ahead of the range checks, which would misname an inf (the
+            # unwrapping check reads it as snapshots too sparse); ints
+            # cannot be non-finite
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigValidationError(f"{f.name} must be finite")
         for name in ("hbar", "mass", "arm_separation", "packet_width", "hold_time"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and value > 0.0):

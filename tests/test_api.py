@@ -1,7 +1,11 @@
-"""Public surface: the package re-exports exactly what its modules declare."""
+"""Public surface: the package re-exports exactly what its modules declare,
+and importing the CLI pulls in no module it does not need."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import gravfringe
@@ -32,3 +36,22 @@ def test_package_reexports_match_module_all():
             "that the package does not re-export"
         )
         assert all(hasattr(module, name) for name in declared)
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal is the largest import a CLI process could pay for, and
+    # only a fit of a non-uniform record needs it
+    src = Path(gravfringe.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = (
+        "import gravfringe.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

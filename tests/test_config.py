@@ -1,5 +1,6 @@
 """Configuration parsing, validation, and round-trip behaviour."""
 
+import dataclasses
 import math
 import re
 
@@ -154,6 +155,23 @@ def test_direct_construction_validates():
             dist_right=0.09,
             hold_time=-1.0,
         )
+
+
+FLOAT_FIELDS = [
+    f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "constants"
+]
+
+
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_infinite_field_rejected_naming_it(name):
+    with pytest.raises(ConfigValidationError, match=f"^{name} must be finite$"):
+        dataclasses.replace(cesium_tungsten_config(), **{name: math.inf})
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(PhysicalConstants)])
+def test_infinite_constant_rejected_naming_it(name):
+    with pytest.raises(ConfigValidationError, match=f"constant {name} must be finite"):
+        PhysicalConstants(**{name: math.inf})
 
 
 # ------------------------------------------------------------------ codec

@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+import scipy.signal
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gravfringe.errors import InsufficientSpanError, RecordError
 from gravfringe.fringe import (
     FringeRecord,
+    _analytic_signal,
     fit_damped_fringe,
     population_shift,
     read_fit_result,
@@ -127,6 +132,34 @@ def test_fit_recovers_noiseless_parameters():
     assert fit.contrast_hat == pytest.approx(1.0, rel=1e-6)
     assert fit.residual_norm < 1e-9
     assert not fit.lambda_at_bound
+
+
+def test_fit_recovers_noiseless_parameters_from_jittered_times():
+    # times jittered by up to +-10 % of the step take the Lomb-Scargle
+    # branch of the frequency seed
+    lam, omega = 0.08, 0.31
+    step = 100 / 399
+    jitter = np.random.default_rng(11).uniform(-0.1, 0.1, 400) * step
+    ts = np.linspace(0, 100, 400) + jitter
+    ts -= ts[0]
+    rec = synthesize_record(TilloyDiosi(lam, omega), ts)
+    dt = np.diff(ts)
+    assert not np.allclose(dt, dt[0], rtol=1e-8)
+    fit = fit_damped_fringe(rec)
+    assert fit.omega_hat == pytest.approx(omega, rel=1e-6)
+    assert fit.lambda_hat == pytest.approx(lam, abs=1e-6)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        st.integers(2, 4096),
+        elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    )
+)
+def test_analytic_signal_is_bitwise_scipy_hilbert(x):
+    assert np.array_equal(_analytic_signal(x), scipy.signal.hilbert(x))
 
 
 def test_fit_noiseless_undamped_pins_lambda_at_zero():

@@ -171,6 +171,12 @@ def test_sparse_snapshots_that_alias_the_phase_rejected():
         dataclasses.replace(default_scaled_config(), hold_time=40.0, n_snapshots=3)
 
 
+def test_infinite_hold_time_named_as_such():
+    # the unwrapping check would read inf as snapshots too sparse
+    with pytest.raises(ConfigValidationError, match="^hold_time must be finite$"):
+        dataclasses.replace(default_scaled_config(), hold_time=math.inf)
+
+
 def test_serialize_parse_round_trip(tmp_path):
     cfg = default_scaled_config()
     path = tmp_path / "oracle.cfg"
