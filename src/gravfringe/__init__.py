@@ -83,13 +83,10 @@ from .phasespace import (
     arm_coherence,
     coherence_from_kernel,
     evolve_wigner,
-    load_grid,
     moyal_bracket,
     poisson_bracket,
     potential_bracket,
     potential_commutator_term,
-    save_grid,
-    truncation_tail_ratio,
     weyl_density_matrix,
     wigner_from_two_packets,
 )

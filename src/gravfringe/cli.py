@@ -1,9 +1,10 @@
 """Command-line front end: reports, records, sweeps, oracle runs, fits.
 
-Every subcommand resolves its configuration (an explicit ``--config``
-file or the built-in benchmark geometry), writes a ``manifest.json``
-into the output directory *before* any data file, produces its outputs,
-and rewrites the manifest with the produced file names.  Identical
+Each subcommand declares only the flags it reads.  Every subcommand but
+``fit`` resolves its configuration (an explicit ``--config`` file or the
+built-in benchmark geometry); each writes a ``manifest.json`` into the
+output directory *before* any data file, produces its outputs, and
+rewrites the manifest with the produced file names.  Identical
 invocations, seed included, produce byte-identical data files; only the
 manifest timestamp varies.
 
@@ -30,6 +31,7 @@ from .config import (
     ExperimentConfig,
     _parse_flat_document,
     _render_flat,
+    _write_atomic,
     cesium_tungsten_config,
     load_config,
     serialize_config,
@@ -78,32 +80,19 @@ _FLOAT = "%.17g"
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument(
-        "--config",
-        metavar="PATH",
-        default=None,
-        help="configuration file (defaults to the built-in benchmark geometry)",
-    )
-    shared.add_argument(
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument(
         "--out",
         metavar="DIR",
         default="gravfringe-out",
         help="output directory (created if missing; default: %(default)s)",
     )
-    shared.add_argument(
-        "--seed",
-        type=int,
+    configured = argparse.ArgumentParser(add_help=False, parents=[out])
+    configured.add_argument(
+        "--config",
+        metavar="PATH",
         default=None,
-        metavar="INT",
-        help="base random seed for noisy synthesis",
-    )
-    shared.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        metavar="FLOAT",
-        help="validation pass threshold / fit convergence tolerance",
+        help="configuration file (default: the subcommand's built-in geometry)",
     )
 
     parser = argparse.ArgumentParser(
@@ -119,14 +108,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser(
         "frequencies",
-        parents=[shared],
+        parents=[configured],
         help="report phase frequencies, radii, and nulling distances",
     )
 
     sim = sub.add_parser(
         "simulate",
-        parents=[shared],
+        parents=[configured],
         help="synthesize a fringe record under one dynamics model",
+    )
+    sim.add_argument(
+        "--seed", type=int, default=None, metavar="INT",
+        help="random seed for the additive noise",
     )
     sim.add_argument(
         "--model",
@@ -178,7 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     swp = sub.add_parser(
         "sweep",
-        parents=[shared],
+        parents=[configured],
         help="tabulate both frequencies across one geometry parameter",
     )
     swp.add_argument(
@@ -195,19 +188,28 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--steps", type=int, required=True, metavar="N",
                      help="number of rows (must be positive)")
 
-    sub.add_parser(
+    val = sub.add_parser(
         "validate-oracle",
-        parents=[shared],
+        parents=[configured],
         help="run the phase-space transport oracle against the "
         "closed-form frequencies",
+    )
+    val.add_argument(
+        "--tolerance", type=float, default=0.05, metavar="FLOAT",
+        help="pass threshold, relative to the larger predicted frequency "
+        "(default: %(default)s)",
     )
 
     fit = sub.add_parser(
         "fit",
-        parents=[shared],
+        parents=[out],
         help="estimate damped-fringe parameters from a record file",
     )
     fit.add_argument("record", metavar="RECORD_CSV", help="record file to fit")
+    fit.add_argument(
+        "--tolerance", type=float, default=None, metavar="FLOAT",
+        help="least-squares convergence tolerance (default: the fitter's 1e-12)",
+    )
 
     return parser
 
@@ -247,7 +249,7 @@ class _Manifest:
         self._write()
 
     def _write(self) -> None:
-        self.path.write_text(json.dumps(self.data, indent=2) + "\n")
+        _write_atomic(self.path, json.dumps(self.data, indent=2) + "\n")
 
     def finalize(self, *output_names: str) -> None:
         self.data["outputs"] = list(output_names)
@@ -266,9 +268,9 @@ def _resolve_experiment_config(args: argparse.Namespace) -> ExperimentConfig:
 def _cmd_frequencies(args: argparse.Namespace, out_dir: Path) -> int:
     config = _resolve_experiment_config(args)
     echo = _parse_flat_document(serialize_config(config), "config")
-    manifest = _Manifest(out_dir, "frequencies", echo, args.seed, {})
+    manifest = _Manifest(out_dir, "frequencies", echo, None, {})
     report = _render_flat(frequency_report(config).items())
-    (out_dir / "frequencies.txt").write_text(report)
+    _write_atomic(out_dir / "frequencies.txt", report)
     manifest.finalize("frequencies.txt")
     print(report, end="")
     return 0
@@ -373,7 +375,7 @@ def _cmd_sweep(args: argparse.Namespace, out_dir: Path) -> int:
         "steps": args.steps,
     }
     echo = _parse_flat_document(serialize_config(config), "config")
-    manifest = _Manifest(out_dir, "sweep", echo, args.seed, options)
+    manifest = _Manifest(out_dir, "sweep", echo, None, options)
     # closed-form evaluations at microsecond scale: computed in order,
     # which is already the deterministic ordering the output promises
     rows = [f"# parameter={args.parameter},field={field}"]
@@ -388,7 +390,7 @@ def _cmd_sweep(args: argparse.Namespace, out_dir: Path) -> int:
         except GravfringeError:
             row = f"{value:{_FLOAT[1:]}},nan,nan,infeasible"
         rows.append(row)
-    (out_dir / "sweep.csv").write_text("\n".join(rows) + "\n")
+    _write_atomic(out_dir / "sweep.csv", "\n".join(rows) + "\n")
     manifest.finalize("sweep.csv")
     print(f"wrote {out_dir / 'sweep.csv'} ({args.steps} rows)")
     return 0
@@ -399,14 +401,13 @@ def _cmd_validate_oracle(args: argparse.Namespace, out_dir: Path) -> int:
         config = default_scaled_config()
     else:
         config = load_oracle_config(args.config)
-    tolerance = 0.05 if args.tolerance is None else args.tolerance
     echo = _parse_flat_document(
         serialize_oracle_config(config), "oracle config", text_keys={"potential"}
     )
     manifest = _Manifest(
-        out_dir, "validate-oracle", echo, args.seed, {"tolerance": tolerance}
+        out_dir, "validate-oracle", echo, None, {"tolerance": args.tolerance}
     )
-    report = run_validation(config, tolerance=tolerance)
+    report = run_validation(config, tolerance=args.tolerance)
     write_report(report, out_dir / "oracle_report.txt")
     manifest.finalize("oracle_report.txt")
     print("\n".join(report.lines()))
@@ -429,7 +430,7 @@ def _cmd_fit(args: argparse.Namespace, out_dir: Path) -> int:
         "noise_sd": record.noise_sd,
         "n_samples": record.times.size,
     }
-    manifest = _Manifest(out_dir, "fit", config_echo, args.seed, options)
+    manifest = _Manifest(out_dir, "fit", config_echo, None, options)
     if args.tolerance is None:
         fit = fit_damped_fringe(record)
     else:

@@ -10,9 +10,10 @@ superposition midpoint to the ball centres, so the left arm sits at
 Configurations are stored as flat ``key = value`` text documents with
 ``#`` comments.  Parsing is fail-closed: unknown keys, duplicate keys,
 missing required keys, and values that are not finite numbers are all
-named errors, so a typo cannot silently fall back to a default.  Masses
-of the probe particle are given in atomic mass units in the document and
-converted to kilograms on load; everything in memory is SI.
+named errors, so a typo cannot silently fall back to a default.  The
+probe mass is kept in atomic mass units, in the document and in memory
+alike, so a configuration reloads bit for bit; every other quantity is
+SI.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class PhysicalConstants:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One interferometer geometry, SI units throughout.
+    """One interferometer geometry, SI units apart from the probe mass.
 
     Invariants enforced at construction:
 
@@ -76,7 +77,7 @@ class ExperimentConfig:
       and an interferometer arm).
     """
 
-    particle_mass: float  # kg
+    particle_mass_amu: float  # probe mass, atomic mass units
     arm_separation: float  # m
     mass_left: float  # kg
     mass_right: float  # kg
@@ -91,7 +92,7 @@ class ExperimentConfig:
             if f.name != "constants" and not math.isfinite(getattr(self, f.name)):
                 raise ConfigValidationError(f"{f.name} must be finite")
         positive = {
-            "particle_mass": self.particle_mass,
+            "particle_mass_amu": self.particle_mass_amu,
             "arm_separation": self.arm_separation,
             "mass_left": self.mass_left,
             "mass_right": self.mass_right,
@@ -116,6 +117,11 @@ class ExperimentConfig:
                     f"dist_{side} - arm_separation/2 = {dist - half:.6g} m "
                     f"must exceed the ball radius {radius:.6g} m"
                 )
+
+    @property
+    def particle_mass(self) -> float:
+        """Probe mass, kg."""
+        return self.particle_mass_amu * self.constants.amu
 
     @property
     def radius_left(self) -> float:
@@ -143,8 +149,6 @@ def ball_radius(mass: float, density: float) -> float:
 
 # ------------------------------------------------------------------ I/O
 
-# Schema: document key -> (required, description).  Mass of the probe is
-# the only key whose unit differs between document (amu) and memory (kg).
 _REQUIRED_KEYS = (
     "particle_mass_amu",
     "arm_separation_m",
@@ -227,6 +231,22 @@ def _render_flat(pairs: Iterable[tuple[str, object]]) -> str:
     return "".join(lines)
 
 
+def _write_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` through ``<name>.tmp`` and a rename.
+
+    The one writer of every file the package produces.  The rename
+    replaces ``path`` in one step, so a write that fails midway leaves
+    any previous file there intact.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text)
+        tmp.replace(path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse a configuration document into an :class:`ExperimentConfig`.
 
@@ -248,7 +268,7 @@ def parse_config(text: str) -> ExperimentConfig:
         amu=values.get("atomic_mass_unit_kg", PhysicalConstants.amu),
     )
     return ExperimentConfig(
-        particle_mass=values["particle_mass_amu"] * constants.amu,
+        particle_mass_amu=values["particle_mass_amu"],
         arm_separation=values["arm_separation_m"],
         mass_left=values["mass_left_kg"],
         mass_right=values["mass_right_kg"],
@@ -265,35 +285,18 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config(Path(path).read_text())
 
 
-def _amu_value(mass_kg: float, amu: float) -> float:
-    """Mass in amu whose reload reproduces ``mass_kg`` bit-exactly.
-
-    ``(m/a)*a == m`` holds for most doubles; when rounding breaks it, one
-    of the two neighbouring representables is usually an exact preimage.
-    Some kg values have no preimage at all; they reload one ulp off.
-    """
-    r = mass_kg / amu
-    if r * amu == mass_kg:
-        return r
-    for candidate in (math.nextafter(r, math.inf), math.nextafter(r, -math.inf)):
-        if candidate * amu == mass_kg:
-            return candidate
-    return r
-
-
 def serialize_config(config: ExperimentConfig) -> str:
     """Render a configuration as a document that reloads identically.
 
-    ``load_config`` of the result reproduces ``config`` exactly,
-    including the stored SI particle mass whenever that mass is some
-    double times ``constants.amu``, as every loaded or built-in
-    config's is (see :func:`_amu_value` for the other case).
+    ``load_config`` of the result reproduces ``config`` exactly: every
+    value is written as stored, and constants left at their defaults
+    are omitted.
     """
     c = config.constants
     defaults = PhysicalConstants()
     return "# interferometer configuration\n" + _render_flat(
         [
-            ("particle_mass_amu", _amu_value(config.particle_mass, c.amu)),
+            ("particle_mass_amu", config.particle_mass_amu),
             ("arm_separation_m", config.arm_separation),
             ("mass_left_kg", config.mass_left),
             ("mass_right_kg", config.mass_right),
@@ -310,7 +313,7 @@ def serialize_config(config: ExperimentConfig) -> str:
 
 def save_config(config: ExperimentConfig, path: str | Path) -> None:
     """Write a configuration document to ``path``."""
-    Path(path).write_text(serialize_config(config))
+    _write_atomic(path, serialize_config(config))
 
 
 def cesium_tungsten_config(rounded_distances: bool = False) -> ExperimentConfig:
@@ -334,9 +337,8 @@ def cesium_tungsten_config(rounded_distances: bool = False) -> ExperimentConfig:
     if rounded_distances:
         dist_left = round(dist_left, 3)
     dist_right = dist_left * math.sqrt(mass_right / mass_left)
-    constants = PhysicalConstants()
     return ExperimentConfig(
-        particle_mass=133.0 * constants.amu,
+        particle_mass_amu=133.0,
         arm_separation=0.1,
         mass_left=mass_left,
         mass_right=mass_right,
@@ -344,7 +346,6 @@ def cesium_tungsten_config(rounded_distances: bool = False) -> ExperimentConfig:
         dist_right=dist_right,
         source_density=density,
         hold_time=60.0,
-        constants=constants,
     )
 
 

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import least_squares
 
-from .config import _parse_flat_document, _render_flat
+from .config import _parse_flat_document, _render_flat, _write_atomic
 from .errors import (
     FitConvergenceError,
     InsufficientSpanError,
@@ -173,7 +173,7 @@ def write_record(record: FringeRecord, path: str | Path) -> None:
         ",".join(names),
     ]
     lines += [",".join(f"{v:.17g}" for v in row) for row in zip(*columns)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_record(path: str | Path) -> FringeRecord:
@@ -421,7 +421,7 @@ def write_fit_result(fit: FitResult, path: str | Path) -> None:
         for i, a in enumerate(_COV_NAMES)
         for j, b in enumerate(_COV_NAMES[i:], start=i)
     ]
-    Path(path).write_text(_render_flat(pairs))
+    _write_atomic(path, _render_flat(pairs))
 
 
 def read_fit_result(path: str | Path) -> FitResult:

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import _parse_flat_document, _render_flat
+from .config import _parse_flat_document, _render_flat, _write_atomic
 from .errors import ConfigParseError, ConfigValidationError
 from .gravity import two_ball_derivative, two_ball_potential
 from .phasespace import (
@@ -31,7 +31,6 @@ from .phasespace import (
     HamiltonianField,
     WignerGrid,
     evolve_wigner,
-    truncation_tail_ratio,
     weyl_density_matrix,
     wigner_from_two_packets,
 )
@@ -304,7 +303,7 @@ def serialize_oracle_config(config: OracleConfig) -> str:
 
 def save_oracle_config(config: OracleConfig, path: str | Path) -> None:
     """Write an oracle configuration document."""
-    Path(path).write_text(serialize_oracle_config(config))
+    _write_atomic(path, serialize_oracle_config(config))
 
 
 # -------------------------------------------------------------- validation
@@ -320,6 +319,12 @@ class OracleReport:
     against ``tolerance * reference_scale`` where the reference is the
     larger predicted frequency magnitude (or 1 when both predictions
     vanish, making the comparison absolute).
+
+    The packets are held, so the order-n_max slope is Omega at the
+    ridge row q = 0 and wavenumber dx/hbar: the Taylor partial sum
+    S_n = (2/hbar) sum_{j<=n} V^(2j+1)(0) a^(2j+1) / (2j+1)!, a = dx/2,
+    of omega_quantum.  ``moyal_abs_error`` is therefore the measured
+    truncation error |S_n - omega_quantum|, not an estimate.
     """
 
     config: OracleConfig
@@ -331,7 +336,6 @@ class OracleReport:
     reference_scale: float
     poisson_abs_error: float
     moyal_abs_error: float
-    truncation_tail: float
     coherence_initial: float
     coherence_final: float
     poisson_pass: bool
@@ -414,9 +418,6 @@ def run_validation(config: OracleConfig, tolerance: float = 0.05) -> OracleRepor
         reference_scale=reference,
         poisson_abs_error=poisson_err,
         moyal_abs_error=moyal_err,
-        truncation_tail=truncation_tail_ratio(
-            h, w0, BracketOrder(config.n_max), include_kinetic=False
-        ),
         coherence_initial=c_first,
         coherence_final=c_last,
         poisson_pass=bool(poisson_err <= tolerance * reference),
@@ -426,4 +427,4 @@ def run_validation(config: OracleConfig, tolerance: float = 0.05) -> OracleRepor
 
 def write_report(report: OracleReport, path: str | Path) -> None:
     """Write the validation report as flat key/value text."""
-    Path(path).write_text("\n".join(report.lines()) + "\n")
+    _write_atomic(path, "\n".join(report.lines()) + "\n")

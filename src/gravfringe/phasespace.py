@@ -31,7 +31,7 @@ The series terminates for quadratic potentials (quantum = classical
 transport there, exactly: the corrections add zeros to Omega) and
 converges geometrically for the two-ball potential, each order smaller
 by roughly (arm separation / 2 distance)^2, so a small truncation order
-suffices and the truncated tail is reported, not guessed.
+suffices.
 
 The two-packet interferometer state has a closed-form Wigner function:
 two Gaussian lobes at q = -+ dx/2 plus an interference ridge at q = 0
@@ -52,9 +52,7 @@ so the scaled route is the only honest one.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -76,14 +74,11 @@ __all__ = [
     "poisson_bracket",
     "potential_bracket",
     "moyal_bracket",
-    "truncation_tail_ratio",
     "evolve_wigner",
     "weyl_density_matrix",
     "arm_coherence",
     "coherence_from_kernel",
     "potential_commutator_term",
-    "save_grid",
-    "load_grid",
 ]
 
 _ORTHOGONALITY_THRESHOLD = 1e-6
@@ -462,39 +457,6 @@ def poisson_bracket(h: HamiltonianField, w: WignerGrid) -> np.ndarray:
     return moyal_bracket(h, w, 0)
 
 
-def truncation_tail_ratio(
-    h: HamiltonianField,
-    w: WignerGrid,
-    order: BracketOrder | int,
-    include_kinetic: bool = True,
-) -> float:
-    """Size of the last kept correction relative to the full tangent.
-
-    L1-norm ratio ||term_{n_max}|| / ||tangent||, the term being the
-    difference of the order-n_max and order-(n_max - 1) brackets; with
-    the geometric decay of the series this bounds the discarded tail to
-    within a factor ~1/(1 - ratio).  For n_max = 0 the first *discarded*
-    term is reported instead (when the field carries V''').  Returns 0
-    when corrections vanish identically (quadratic potentials).  Pass
-    ``include_kinetic=False`` for held-packet runs so the streaming
-    term does not dilute the denominator.
-    """
-    o = _as_order(order)
-    tangent = moyal_bracket(h, w, o, include_kinetic=include_kinetic)
-    scale = float(np.abs(tangent).sum())
-    if scale == 0.0:
-        return 0.0
-    if o.n_max == 0:
-        if h.max_order < 3:
-            return 0.0
-        last = moyal_bracket(h, w, 1, include_kinetic=include_kinetic) - tangent
-    else:
-        last = tangent - moyal_bracket(
-            h, w, o.n_max - 1, include_kinetic=include_kinetic
-        )
-    return float(np.abs(last).sum() / scale)
-
-
 # -------------------------------------------------------------- evolution
 
 
@@ -661,74 +623,3 @@ def potential_commutator_term(
     v1 = CubicSpline(h.q_axis, h.derivative(1))(mid)
     out = (xv - yv) / (1j * hbar) * v1 * rho_kernel(xv, yv)
     return out if np.ndim(out) else complex(out)
-
-
-# ----------------------------------------------------------------- files
-
-_MAGIC = b"WGRD"
-_VERSION = 1
-_HEADER = struct.Struct("<4sIQQdddddd")  # magic, ver, n_q, n_p, q0,dq,p0,dp,hbar,time
-
-
-def save_grid(w: WignerGrid, path: str | Path) -> None:
-    """Write a grid as little-endian float64 with a fixed header.
-
-    Layout: magic ``WGRD``, u32 version, u64 n_q, u64 n_p, f64 q0, dq,
-    p0, dp, hbar, time, then n_q * n_p row-major f64 values.  A text
-    sidecar ``<path>.meta`` mirrors the header for eyeballing.
-    """
-    path = Path(path)
-    header = _HEADER.pack(
-        _MAGIC,
-        _VERSION,
-        w.q_axis.size,
-        w.p_axis.size,
-        float(w.q_axis[0]),
-        w.dq,
-        float(w.p_axis[0]),
-        w.dp,
-        w.hbar,
-        w.time,
-    )
-    with path.open("wb") as f:
-        f.write(header)
-        f.write(np.ascontiguousarray(w.values, dtype="<f8").tobytes())
-    sidecar = [
-        f"format = WGRD v{_VERSION}",
-        f"n_q = {w.q_axis.size}",
-        f"n_p = {w.p_axis.size}",
-        f"q_start = {float(w.q_axis[0])!r}",
-        f"dq = {w.dq!r}",
-        f"p_start = {float(w.p_axis[0])!r}",
-        f"dp = {w.dp!r}",
-        f"hbar = {w.hbar!r}",
-        f"time = {w.time!r}",
-        "layout = row-major float64 little-endian, q rows",
-    ]
-    Path(str(path) + ".meta").write_text("\n".join(sidecar) + "\n")
-
-
-def load_grid(path: str | Path) -> WignerGrid:
-    """Read a grid written by :func:`save_grid`."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise GridError(f"{path}: truncated header")
-    magic, version, n_q, n_p, q0, dq, p0, dp, hbar, time = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise GridError(f"{path}: not a Wigner grid file (bad magic {magic!r})")
-    if version != _VERSION:
-        raise GridError(f"{path}: unsupported version {version}")
-    expected = _HEADER.size + 8 * n_q * n_p
-    if len(raw) != expected:
-        raise GridError(
-            f"{path}: size {len(raw)} does not match header "
-            f"({n_q} x {n_p} grid needs {expected})"
-        )
-    values = (
-        np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
-        .reshape(n_q, n_p)
-        .astype(float)
-    )
-    q = q0 + dq * np.arange(n_q)
-    p = p0 + dp * np.arange(n_p)
-    return WignerGrid(q, p, values, hbar=hbar, time=time)

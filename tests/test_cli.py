@@ -293,7 +293,8 @@ def test_validate_oracle_quadratic_passes(tmp_path, capsys):
     moyal = float(report["omega_moyal_measured"])
     poisson = float(report["omega_poisson_measured"])
     assert abs(moyal - poisson) <= 1e-10
-    assert "truncation_tail" in report
+    assert "moyal_abs_error" in report
+    assert "truncation_tail" not in report
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["outputs"] == ["oracle_report.txt"]
     assert manifest["config"]["potential"] == "quadratic"
@@ -463,6 +464,34 @@ def test_unusable_path_exits_2_naming_it(tmp_path, capsys, argv, key):
 
 
 @pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["frequencies"], "--seed", "99"),
+        (["frequencies"], "--tolerance", "-7"),
+        (["simulate", "--model", "schrodinger", "--duration", "10"],
+         "--tolerance", "nan"),
+        (["sweep", "--parameter", "d2", "--min", "0.06", "--max", "0.11",
+          "--steps", "3"], "--seed", "4"),
+        (["sweep", "--parameter", "d2", "--min", "0.06", "--max", "0.11",
+          "--steps", "3"], "--tolerance", "0.1"),
+        (["validate-oracle"], "--seed", "5"),
+        (["fit", "record.csv"], "--config", "/does/not/exist"),
+        (["fit", "record.csv"], "--seed", "4"),
+    ],
+    ids=["frequencies-seed", "frequencies-tolerance", "simulate-tolerance",
+         "sweep-seed", "sweep-tolerance", "validate-oracle-seed", "fit-config",
+         "fit-seed"],
+)
+def test_flag_the_subcommand_does_not_read_exits_2(
+    tmp_path, capsys, argv, flag, value
+):
+    out = tmp_path / "out"
+    assert main([*argv, flag, value, "--out", str(out)]) == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv, name, key, value",
     [
         (["validate-oracle"], "oracle_quadratic.cfg", "quad_slope", "nan"),
@@ -531,7 +560,10 @@ def test_manifest_config_echo_is_the_parsed_document(tmp_path, capsys, subcomman
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 0
     capsys.readouterr()
-    echo = json.loads((out / "manifest.json").read_text())["config"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    # only simulate takes a seed
+    assert manifest["seed"] == (3 if subcommand == "simulate" else None)
+    echo = manifest["config"]
     assert not any(key.startswith("#") for key in echo)
 
     if subcommand == "fit":
@@ -547,9 +579,8 @@ def test_manifest_config_echo_is_the_parsed_document(tmp_path, capsys, subcomman
         document = serialize_oracle_config(cfg)
     else:
         cfg = cesium_tungsten_config()
-        echo["particle_mass_amu"] *= cfg.constants.amu  # compare in kg
         resolved = {
-            "particle_mass_amu": cfg.particle_mass,
+            "particle_mass_amu": cfg.particle_mass_amu,
             "arm_separation_m": cfg.arm_separation,
             "mass_left_kg": cfg.mass_left,
             "mass_right_kg": cfg.mass_right,

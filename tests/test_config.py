@@ -14,6 +14,7 @@ from gravfringe.config import (
     PhysicalConstants,
     _parse_flat_document,
     _render_flat,
+    _write_atomic,
     ball_radius,
     cesium_tungsten_config,
     load_config,
@@ -136,6 +137,29 @@ def test_roundtrip_is_identity(tmp_path):
     assert load_config(path) == cfg
 
 
+def test_mass_off_the_kg_amu_lattice_round_trips():
+    # 6.603554144849853e-21 kg is no double times the default amu, so a
+    # probe mass stored in kg reloaded one ulp off; stored in amu it is
+    # written and read back as is
+    cfg = dataclasses.replace(
+        cesium_tungsten_config(),
+        particle_mass_amu=6.603554144849853e-21 / PhysicalConstants.amu,
+    )
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_failed_write_leaves_previous_file_intact(tmp_path):
+    path = tmp_path / "geometry.cfg"
+    save_config(cesium_tungsten_config(), path)
+    before = path.read_bytes()
+    # a lone surrogate has no encoding, so this write fails after the
+    # target would have been opened and truncated
+    with pytest.raises(UnicodeEncodeError):
+        _write_atomic(path, "particle_mass_amu = 1.0\n\udc80\n")
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["geometry.cfg"]
+
+
 def test_cesium_tungsten_benchmark_values():
     cfg = cesium_tungsten_config()
     assert cfg.dist_left == pytest.approx(0.0572776152, abs=1e-9)
@@ -147,7 +171,7 @@ def test_cesium_tungsten_benchmark_values():
 def test_direct_construction_validates():
     with pytest.raises(ConfigValidationError, match="hold_time"):
         ExperimentConfig(
-            particle_mass=1e-25,
+            particle_mass_amu=133.0,
             arm_separation=0.1,
             mass_left=0.02,
             mass_right=0.04,
@@ -236,10 +260,7 @@ def experiment_configs(draw):
     mass_left, mass_right = draw(positive), draw(positive)
     gap = st.floats(1e-3, 1.0)
     return ExperimentConfig(
-        # the document carries the probe mass in amu, so only masses of
-        # the form x * amu reload exactly; a kg value off that lattice
-        # has no preimage at all
-        particle_mass=draw(st.floats(1.0, 1e6)) * constants.amu,
+        particle_mass_amu=draw(st.floats(1.0, 1e6)),
         arm_separation=arm,
         mass_left=mass_left,
         mass_right=mass_right,

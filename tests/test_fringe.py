@@ -112,6 +112,40 @@ def test_csv_header_format(tmp_path):
     assert lines[1] == "t_s,signal"
 
 
+@st.composite
+def noisy_records(draw):
+    """Small noisy records (any finite signal) in either column layout."""
+    n = draw(st.integers(2, 50))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    column = hnp.arrays(float, n, elements=finite)
+    # bounded so that no time step overflows in the increasing-times check
+    times = draw(st.lists(st.floats(-1e300, 1e300), min_size=n, max_size=n,
+                          unique=True).map(sorted))
+    return FringeRecord(
+        times=np.array(times),
+        signal=draw(column),
+        population=draw(st.none() | column),
+        model=draw(st.from_regex(r"[a-z0-9();=.+-]*", fullmatch=True)),
+        seed=draw(st.none() | st.integers(0, 2**64 - 1)),
+        noise_sd=draw(st.floats(0.0, 1e300, exclude_min=True)),
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(noisy_records())
+def test_write_read_record_is_identity(tmp_path_factory, rec):
+    path = tmp_path_factory.mktemp("record") / "record.csv"
+    write_record(rec, path)
+    back = read_record(path)
+    for name in ("times", "signal", "population"):
+        ours, theirs = getattr(rec, name), getattr(back, name)
+        if ours is None:
+            assert theirs is None
+        else:
+            assert theirs.tobytes() == ours.tobytes()  # bit-exact, signed zero too
+    assert (back.model, back.seed, back.noise_sd) == (rec.model, rec.seed, rec.noise_sd)
+
+
 def test_read_rejects_malformed(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t_s,signal\n0,0.5\n1,0.5\n")  # no metadata header

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gravfringe.errors import ConfigParseError, ConfigValidationError, DomainError
+from gravfringe.gravity import two_ball_derivative
 from gravfringe.oracle import (
     OracleConfig,
     default_scaled_config,
@@ -265,14 +266,15 @@ def test_quadratic_run_transport_laws_agree_exactly():
     report = run_validation(quadratic_config(), tolerance=0.05)
     assert report.passed
     # zero cubic-and-higher derivatives: the corrected tangent is the
-    # classical tangent bitwise, and the truncated remainder is empty
+    # classical tangent bitwise, so both laws miss by the same amount
     assert report.omega_moyal_measured == report.omega_poisson_measured
-    assert report.truncation_tail == 0.0
+    assert report.moyal_abs_error == report.poisson_abs_error
     assert report.omega_moyal_measured == pytest.approx(0.3, rel=1e-6)
 
 
-def test_two_ball_run_recovers_both_frequencies():
-    cfg = dataclasses.replace(
+def small_two_ball_config(**changes):
+    """The stock nulled geometry on a 256^2 grid with a shorter hold."""
+    return dataclasses.replace(
         default_scaled_config(),
         n_q=256,
         n_p=256,
@@ -280,14 +282,44 @@ def test_two_ball_run_recovers_both_frequencies():
         p_hi=24.0,
         hold_time=2.5,
         n_snapshots=6,
+        **changes,
     )
-    report = run_validation(cfg, tolerance=0.05)
+
+
+def test_two_ball_run_recovers_both_frequencies():
+    report = run_validation(small_two_ball_config(), tolerance=0.05)
     assert report.passed
-    assert report.moyal_abs_error < 0.01 * report.omega_quantum_predicted
+    # n_max = 3 leaves a truncation error of 1.2e-4 omega_Q
+    assert 0.0 < report.moyal_abs_error < 5e-4 * report.omega_quantum_predicted
     assert abs(report.omega_poisson_measured) < 1e-8
-    assert 0.0 < report.truncation_tail < 0.05
     assert report.coherence_initial == pytest.approx(0.5, abs=1e-6)
     assert report.coherence_final == pytest.approx(0.5, abs=1e-3)
+
+
+@pytest.mark.parametrize("n_max", range(5))
+def test_held_slope_is_the_taylor_partial_sum(n_max):
+    # held packets read Omega at q = 0, k = dx/hbar, which is the partial
+    # sum S_n = (2/hbar) sum_{j<=n} V^(2j+1)(0) a^(2j+1) / (2j+1)!, so the
+    # report's error is the measured truncation error |S_n - omega_Q|
+    cfg = small_two_ball_config(n_max=n_max)
+    a = cfg.arm_separation / 2.0
+    args = (cfg.coupling_left, cfg.coupling_right, cfg.dist_left, cfg.dist_right)
+    partial = 2.0 / cfg.hbar * sum(
+        float(two_ball_derivative(0.0, *args, order=2 * j + 1))
+        * a ** (2 * j + 1)
+        / math.factorial(2 * j + 1)
+        for j in range(n_max + 1)
+    )
+    report = run_validation(cfg)
+    omega_q = report.omega_quantum_predicted
+    if n_max == 0:
+        # S_0 = omega_C is nulled to rounding, so compare absolutely
+        assert abs(report.omega_moyal_measured - partial) <= 1e-12 * omega_q
+    else:
+        assert report.omega_moyal_measured == pytest.approx(partial, rel=1e-12)
+    assert report.moyal_abs_error == pytest.approx(
+        abs(partial - omega_q), rel=0.0, abs=1e-12 * omega_q
+    )
 
 
 def test_unreachable_tolerance_fails_honestly():
@@ -322,12 +354,14 @@ def test_report_file_format(tmp_path):
         "omega_quantum_predicted",
         "omega_moyal_measured",
         "omega_poisson_measured",
-        "truncation_tail",
+        "moyal_abs_error",
         "poisson_pass",
         "moyal_pass",
         "tolerance",
     ):
         assert needed in keys
+    # the report carries the measured truncation error, not an estimate
+    assert "truncation_tail" not in keys
     # held propagation is exact: the report carries no step size
     assert "dt" not in keys
     assert "steps_per_segment" not in keys

@@ -26,13 +26,10 @@ from gravfringe.phasespace import (
     arm_coherence,
     coherence_from_kernel,
     evolve_wigner,
-    load_grid,
     moyal_bracket,
     poisson_bracket,
     potential_bracket,
     potential_commutator_term,
-    save_grid,
-    truncation_tail_ratio,
     weyl_density_matrix,
     wigner_from_two_packets,
 )
@@ -212,7 +209,6 @@ def test_quadratic_potential_collapses_to_classical():
         )
         # every correction adds exact zeros to the generator
         assert np.array_equal(_generator(h, w, n_max), _generator(h, w, 0))
-        assert truncation_tail_ratio(h, w, n_max, include_kinetic=False) == 0.0
 
 
 def test_correction_terms_decay_geometrically():
@@ -223,8 +219,8 @@ def test_correction_terms_decay_geometrically():
     norms = [float(np.abs(t).sum()) for t in terms]
     assert norms[1] < 0.5 * norms[0]
     assert norms[2] < 0.5 * norms[1]
-    tail = truncation_tail_ratio(h, w, BracketOrder(3), include_kinetic=False)
-    assert 0.0 < tail < 0.05
+    # the last kept correction against the whole order-3 tangent
+    assert 0.0 < norms[2] / np.abs(brackets[3]).sum() < 0.05
 
 
 def test_insufficient_derivative_order():
@@ -446,39 +442,3 @@ def test_commutator_identity_against_bracket_transform():
     )
     scale = np.abs(rhs).max()
     assert np.abs(lhs - rhs).max() < 1e-3 * scale
-
-
-# ----------------------------------------------------------------- files
-
-
-def test_grid_roundtrip(tmp_path):
-    w = wigner_from_two_packets(
-        DX,
-        SIGMA,
-        0.25 + 0.1j,
-        n_q=128,
-        n_p=128,
-        q_span=(-8.5, 8.5),
-        p_span=(-24.0, 24.0),
-    )
-    out = evolve_wigner(
-        two_ball_field(w.q_axis), w, BracketOrder(1), 0.5, hold_packets=True
-    )
-    path = tmp_path / "state.wgrd"
-    save_grid(out, path)
-    back = load_grid(path)
-    assert np.array_equal(back.values, out.values)
-    assert np.allclose(back.q_axis, out.q_axis, rtol=0, atol=1e-15)
-    assert back.hbar == out.hbar
-    assert back.time == out.time
-    assert (tmp_path / "state.wgrd.meta").exists()
-
-
-def test_grid_bad_file_rejected(tmp_path):
-    path = tmp_path / "junk.wgrd"
-    path.write_bytes(b"NOPE" + b"\x00" * 100)
-    with pytest.raises(GridError, match="magic"):
-        load_grid(path)
-    path.write_bytes(b"WG")
-    with pytest.raises(GridError, match="truncated"):
-        load_grid(path)
