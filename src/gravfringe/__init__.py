@@ -36,12 +36,10 @@ from .errors import (
     FitConvergenceError,
     GravfringeError,
     GridError,
-    InfeasibleGeometryError,
     InstabilityError,
     InsufficientSpanError,
     IntegrationError,
     NonOrthogonalPacketsError,
-    NoSteadyStateError,
     PositivityWarning,
     RecordError,
     UnsupportedModelError,
@@ -50,8 +48,6 @@ from .gravity import (
     frequency_report,
     omega_classical,
     omega_quantum,
-    solve_null_distance,
-    solve_null_quantum_distance,
     two_ball_derivative,
     two_ball_potential,
 )
@@ -59,10 +55,8 @@ from .fringe import (
     FitResult,
     FringeRecord,
     fit_damped_fringe,
-    population_shift,
     read_fit_result,
     read_record,
-    signal_from_state,
     synthesize_record,
     write_fit_result,
     write_record,
@@ -80,8 +74,6 @@ from .phasespace import (
     BracketOrder,
     HamiltonianField,
     WignerGrid,
-    arm_coherence,
-    coherence_from_kernel,
     evolve_wigner,
     moyal_bracket,
     poisson_bracket,
@@ -99,12 +91,10 @@ from .twostate import (
     TilloyDiosi,
     TwoLevelState,
     coherence_matrix,
-    derivative,
     eigenvalue_branch,
     evolve,
     spectral_solution,
     spectral_trajectory,
-    steady_state_population,
     trajectory,
 )
 

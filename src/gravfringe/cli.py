@@ -333,8 +333,8 @@ def _cmd_simulate(args: argparse.Namespace, out_dir: Path) -> int:
         raise ConfigValidationError("--duration must be positive and finite")
     if args.samples < 2:
         raise ConfigValidationError("--samples must be at least 2")
-    if not args.noise_sd >= 0.0:
-        raise ConfigValidationError("--noise-sd must be non-negative")
+    if not 0.0 <= args.noise_sd < math.inf:
+        raise ConfigValidationError("--noise-sd must be non-negative and finite")
     config = _resolve_experiment_config(args)
     model = _model_from_flags(args, config)
     options = {
@@ -365,6 +365,9 @@ def _cmd_simulate(args: argparse.Namespace, out_dir: Path) -> int:
 def _cmd_sweep(args: argparse.Namespace, out_dir: Path) -> int:
     if args.steps <= 0:
         raise ConfigValidationError("--steps must be positive")
+    for flag, value in (("--min", args.lo), ("--max", args.hi)):
+        if not math.isfinite(value):
+            raise ConfigValidationError(f"{flag} must be finite, got {value!r}")
     config = _resolve_experiment_config(args)
     field = _SWEEP_FIELDS[args.parameter]
     options = {

@@ -4,8 +4,8 @@ Everything raised deliberately by this package derives from
 :class:`GravfringeError`, split into two broad families that the command
 line maps onto distinct exit codes:
 
-* input problems (bad documents, bad parameters, infeasible geometry,
-  unsupported model/operation combinations) -- exit code 2;
+* input problems (bad documents, bad parameters, unsupported
+  model/operation combinations) -- exit code 2;
 * numerical failures (integrator breakdown, norm drift, non-convergence)
   -- exit code 3.
 
@@ -20,14 +20,12 @@ __all__ = [
     "ConfigParseError",
     "ConfigValidationError",
     "DomainError",
-    "InfeasibleGeometryError",
     "UnsupportedModelError",
     "GridError",
     "NonOrthogonalPacketsError",
     "DerivativeOrderError",
     "RecordError",
     "InsufficientSpanError",
-    "NoSteadyStateError",
     "IntegrationError",
     "InstabilityError",
     "FitConvergenceError",
@@ -62,16 +60,9 @@ class DomainError(GravfringeError):
     or beyond a source-mass centre, or a non-positive density."""
 
 
-class InfeasibleGeometryError(GravfringeError):
-    """A solved-for geometry cannot be realised, e.g. a nulling
-    distance that would place a source ball inside an interferometer
-    arm."""
-
-
 class UnsupportedModelError(GravfringeError):
     """The requested operation has no meaning for the given dynamics
-    model, e.g. asking for the closed-form steady state of a general
-    linear law that couples the coherence to its conjugate."""
+    model, e.g. a model object that is none of the supported laws."""
 
 
 class GridError(GravfringeError):
@@ -99,11 +90,6 @@ class RecordError(GravfringeError):
 class InsufficientSpanError(GravfringeError):
     """A record is too short to constrain the fringe model (fewer than
     two oscillation periods at the seeded frequency)."""
-
-
-class NoSteadyStateError(GravfringeError):
-    """The coherence does not decay, so the late-time population limit
-    does not exist."""
 
 
 # ----------------------------------------------------------- numerics

@@ -47,14 +47,12 @@ from .twostate import (
 __all__ = [
     "FringeRecord",
     "FitResult",
-    "signal_from_state",
     "synthesize_record",
     "write_record",
     "read_record",
     "fit_damped_fringe",
     "write_fit_result",
     "read_fit_result",
-    "population_shift",
 ]
 
 
@@ -98,6 +96,16 @@ class FringeRecord:
                 raise RecordError(f"record {name} column holds non-finite values")
         if np.any(np.diff(times) <= 0.0):
             raise RecordError("record times must be strictly increasing")
+        # the header line is comma-separated and its values are stripped
+        if (
+            "," in self.model
+            or self.model != self.model.strip()
+            or "".join(self.model.splitlines()) != self.model
+        ):
+            raise RecordError(
+                f"record model {self.model!r} must hold no comma, no line "
+                "break and no leading or trailing whitespace"
+            )
         if self.noise_sd == 0.0:
             # a noiseless signal is a probability
             if np.any(signal < -1e-9) or np.any(signal > 1.0 + 1e-9):
@@ -109,11 +117,6 @@ class FringeRecord:
     @property
     def span(self) -> float:
         return float(self.times[-1] - self.times[0])
-
-
-def signal_from_state(state: TwoLevelState) -> float:
-    """Symmetric-port detection probability 1/2 + Re rho_LR."""
-    return 0.5 + state.rho_lr.real
 
 
 def synthesize_record(
@@ -443,22 +446,3 @@ def read_fit_result(path: str | Path) -> FitResult:
         n_samples=int(values["n_samples"]),
         lambda_at_bound=values["lambda_at_bound"] == "true",
     )
-
-
-def population_shift(record: FringeRecord) -> float:
-    """Late-time population shift: mean of the final quarter minus 1/2.
-
-    Requires a population track (general-model records); raises
-    :class:`RecordError` otherwise.  The "final quarter" is by time,
-    not by sample count, so non-uniform records weight correctly.
-    """
-    if record.population is None:
-        raise RecordError(
-            "record has no population track; only general-model records "
-            "carry one"
-        )
-    cutoff = record.times[0] + 0.75 * record.span
-    tail = record.population[record.times >= cutoff]
-    if tail.size == 0:
-        raise RecordError("no samples in the final quarter of the record")
-    return float(np.mean(tail) - 0.5)

@@ -31,31 +31,24 @@ discriminating measurement rather than a calibration.
 
 The units-free helpers ``two_ball_potential`` and
 ``two_ball_derivative`` take the couplings ``g_i`` directly and also
-serve the scaled phase-space oracle; the config-facing frequency and
-nulling functions evaluate the closed forms above in SI units.
+serve the scaled phase-space oracle; the config-facing frequency
+functions evaluate the closed forms above in SI units.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Literal
 
 import numpy as np
 
-from .config import ExperimentConfig, ball_radius, with_updates
-from .errors import (
-    ConfigValidationError,
-    DomainError,
-    InfeasibleGeometryError,
-)
+from .config import ExperimentConfig, with_updates
+from .errors import ConfigValidationError, DomainError
 
 __all__ = [
     "two_ball_potential",
     "two_ball_derivative",
     "omega_classical",
     "omega_quantum",
-    "solve_null_distance",
-    "solve_null_quantum_distance",
     "frequency_report",
 ]
 
@@ -141,20 +134,6 @@ def omega_quantum(config: ExperimentConfig) -> float:
     )
 
 
-_Side = Literal["dist_left", "dist_right"]
-
-
-def _null_feasibility(config: ExperimentConfig, which: _Side, value: float) -> None:
-    """Re-validate geometry with one distance replaced; translate
-    validation failures into :class:`InfeasibleGeometryError`."""
-    try:
-        with_updates(config, **{which: value})
-    except ConfigValidationError as exc:
-        raise InfeasibleGeometryError(
-            f"nulling distance {which} = {value:.6g} m is not realisable: {exc}"
-        ) from exc
-
-
 def _classical_null(d_fixed: float, m_fixed: float, m_moved: float) -> float:
     """Distance of the moved ball that nulls omega_C: M_f/d_f^2 = M_m/d^2."""
     return d_fixed * math.sqrt(m_moved / m_fixed)
@@ -169,48 +148,14 @@ def _quantum_null(config: ExperimentConfig) -> float:
     )
 
 
-def solve_null_distance(
-    config: ExperimentConfig, which: _Side = "dist_right"
-) -> float:
-    """Distance that nulls the classical frequency, holding the rest.
-
-    Closed form: omega_C = 0 at d2 = d1 * sqrt(M2/M1) (and symmetrically
-    for d1).  The returned distance is checked against the ball-overlap
-    invariants and :class:`InfeasibleGeometryError` is raised if the
-    nulling geometry cannot be built.
-    """
-    c = config
-    if which == "dist_right":
-        target = _classical_null(c.dist_left, c.mass_left, c.mass_right)
-    elif which == "dist_left":
-        target = _classical_null(c.dist_right, c.mass_right, c.mass_left)
-    else:
-        raise ValueError(f"which must be 'dist_left' or 'dist_right', got {which!r}")
-    _null_feasibility(config, which, target)
-    return target
-
-
-def solve_null_quantum_distance(config: ExperimentConfig) -> float:
-    """Right-ball distance that nulls the quantum frequency.
-
-    omega_Q = 0 at d2^2 = dx^2/4 + (M2/M1) * (d1^2 - dx^2/4).  Distinct
-    from the classical null whenever M1 != M2.  Raises
-    :class:`InfeasibleGeometryError` when the resulting geometry is not
-    realisable.
-    """
-    target = _quantum_null(config)
-    _null_feasibility(config, "dist_right", target)
-    return target
-
-
 def frequency_report(config: ExperimentConfig) -> dict[str, float]:
     """All headline numbers for one configuration, as a flat dict.
 
-    Includes both the configured geometry and a variant with the left
-    distance rounded to the nearest millimetre (geometries are usually
-    quoted rounded; the quantum frequency is sensitive at the percent
-    level to that rounding, so both values are reported rather than
-    blessing one).
+    Includes both the configured geometry and, when its balls clear the
+    arms, a classically nulled variant with the left distance rounded to
+    the nearest millimetre (geometries are usually quoted rounded; the
+    quantum frequency is sensitive at the percent level to that
+    rounding, so both values are reported rather than blessing one).
     """
     report = {
         "omega_classical_rad_s": omega_classical(config),
@@ -225,14 +170,15 @@ def frequency_report(config: ExperimentConfig) -> dict[str, float]:
         "null_quantum_dist_right_m": _quantum_null(config),
     }
     d1_mm = round(config.dist_left, 3)
-    half = config.arm_separation / 2.0
-    if d1_mm - half > ball_radius(config.mass_left, config.source_density):
+    try:
         rounded = with_updates(
             config,
             dist_left=d1_mm,
             dist_right=_classical_null(d1_mm, config.mass_left, config.mass_right),
         )
-        report["dist_left_rounded_mm_m"] = rounded.dist_left
-        report["omega_quantum_rounded_rad_s"] = omega_quantum(rounded)
-        report["omega_classical_rounded_rad_s"] = omega_classical(rounded)
+    except ConfigValidationError:  # a ball of the rounded geometry meets an arm
+        return report
+    report["dist_left_rounded_mm_m"] = rounded.dist_left
+    report["omega_quantum_rounded_rad_s"] = omega_quantum(rounded)
+    report["omega_classical_rounded_rad_s"] = omega_classical(rounded)
     return report

@@ -36,9 +36,8 @@ suffices.
 The two-packet interferometer state has a closed-form Wigner function:
 two Gaussian lobes at q = -+ dx/2 plus an interference ridge at q = 0
 whose fringes in p carry the arm coherence.  The coherence is read back
-out by the trace rule (overlap against the conjugate cross kernel), and
-independently through the position-space kernel recovered by the
-inverse (Weyl) transform
+out through the position-space kernel recovered by the inverse (Weyl)
+transform
 
     rho(x, y) = INT dp exp(i p (x - y) / hbar) W((x + y)/2, p).
 
@@ -76,8 +75,6 @@ __all__ = [
     "moyal_bracket",
     "evolve_wigner",
     "weyl_density_matrix",
-    "arm_coherence",
-    "coherence_from_kernel",
     "potential_commutator_term",
 ]
 
@@ -139,13 +136,6 @@ class WignerGrid:
     def norm(self) -> float:
         """Total probability: the grid integral of W."""
         return float(self.values.sum() * self.dq * self.dp)
-
-    def position_marginal(self) -> np.ndarray:
-        """|psi(q)|^2 samples: integral of W over p."""
-        return self.values.sum(axis=1) * self.dp
-
-    def momentum_marginal(self) -> np.ndarray:
-        return self.values.sum(axis=0) * self.dq
 
 
 @dataclass(frozen=True)
@@ -542,62 +532,6 @@ def weyl_density_matrix(w: WignerGrid, x, y):
     phases = np.exp(1j * np.multiply.outer(sep, w.p_axis) / w.hbar)
     out = (rows * phases).sum(axis=-1) * w.dp
     return out if out.ndim else complex(out)
-
-
-def arm_coherence(
-    w: WignerGrid, arm_separation: float, packet_width: float
-) -> complex:
-    """Read <L| rho |R> back off the grid by the trace rule.
-
-    tr(rho |R><L|) = 2 pi hbar INT W_rho W_{|R><L|}, and the conjugate
-    cross kernel is Gaussian, so
-
-        c = 2 INT dq dp W(q, p) e^{-q^2/(2 sigma^2) - 2 sigma^2 p^2 /
-            hbar^2} e^{-i p dx / hbar}.
-
-    Exact (up to quadrature) for any state, not just two-packet ones;
-    for the synthesised state it returns the input coherence.
-    """
-    dx = float(arm_separation)
-    sigma = float(packet_width)
-    qq = w.q_axis[:, None]
-    pp = w.p_axis[None, :]
-    kernel = np.exp(
-        -(qq * qq) / (2.0 * sigma * sigma)
-        - 2.0 * sigma * sigma * pp * pp / (w.hbar * w.hbar)
-    ) * np.exp(-1j * pp * dx / w.hbar)
-    return complex(2.0 * (w.values * kernel).sum() * w.dq * w.dp)
-
-
-def coherence_from_kernel(
-    w: WignerGrid,
-    arm_separation: float,
-    packet_width: float,
-    n_quad: int = 96,
-    half_width_sigmas: float = 6.0,
-) -> complex:
-    """Independent coherence probe through the position kernel.
-
-    Computes <L| rho |R> = INT dx dy psi_L(x) rho(x, y) psi_R(y) with
-    rho recovered by :func:`weyl_density_matrix` and trapezoid
-    quadrature over +-``half_width_sigmas`` packet widths around each
-    arm.  Slower than :func:`arm_coherence` and routed through the
-    inverse transform instead of the trace rule, which is exactly what
-    makes it a useful cross-check.
-    """
-    dx = float(arm_separation)
-    sigma = float(packet_width)
-    a = dx / 2.0
-    half = half_width_sigmas * sigma
-    xs = np.linspace(-a - half, -a + half, n_quad)
-    ys = np.linspace(a - half, a + half, n_quad)
-    norm = (2.0 * math.pi * sigma * sigma) ** -0.25
-    psi_l = norm * np.exp(-((xs + a) ** 2) / (4.0 * sigma * sigma))
-    psi_r = norm * np.exp(-((ys - a) ** 2) / (4.0 * sigma * sigma))
-    kernel = weyl_density_matrix(w, xs[:, None], ys[None, :])
-    integrand = psi_l[:, None] * kernel * psi_r[None, :]
-    inner = np.trapezoid(integrand, ys, axis=1)
-    return complex(np.trapezoid(inner, xs))
 
 
 def potential_commutator_term(

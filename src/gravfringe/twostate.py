@@ -40,13 +40,12 @@ y = (rho_LL, Re rho_LR, Im rho_LR), with the generator
 
 The population row integrates the coherence and the coherence block A
 drives f = (Re rho_LR, Im rho_LR) alone.  Everything follows from B:
-:func:`derivative` is B y; :func:`spectral_trajectory` is the closed
-form, one matrix exponential of the augmented coherence block per
-sample time, taken as a single batched call; and :func:`trajectory`
-(with its one-time view :func:`evolve`) integrates y' = B y with an
-adaptive Runge-Kutta method.  That integrator is not a second route to
-the answer but the independent cross-check the acceptance gate
-requires.
+:func:`spectral_trajectory` is the closed form, one matrix exponential
+of the augmented coherence block per sample time, taken as a single
+batched call; and :func:`trajectory` (with its one-time view
+:func:`evolve`) integrates y' = B y with an adaptive Runge-Kutta
+method.  That integrator is not a second route to the answer but the
+independent cross-check the acceptance gate requires.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ from scipy.linalg import expm
 from .errors import (
     CoherenceGrowthWarning,
     IntegrationError,
-    NoSteadyStateError,
     PositivityWarning,
     UnsupportedModelError,
 )
@@ -75,14 +73,12 @@ __all__ = [
     "TilloyDiosi",
     "GeneralLinear",
     "DynamicsModel",
-    "derivative",
     "evolve",
     "trajectory",
     "coherence_matrix",
     "eigenvalue_branch",
     "spectral_solution",
     "spectral_trajectory",
-    "steady_state_population",
 ]
 
 _DEFAULT_TOLERANCE = 1e-10
@@ -182,14 +178,6 @@ class GeneralLinear:
 DynamicsModel = Union[Schrodinger, ClassicalPoisson, TilloyDiosi, GeneralLinear]
 
 
-@dataclass(frozen=True)
-class StateDerivative:
-    """Tangent of a two-level state: d/dt of (rho_LL, rho_LR)."""
-
-    d_rho_ll: float
-    d_rho_lr: complex
-
-
 def _as_general(model: DynamicsModel) -> GeneralLinear:
     """Embed any supported model into the general linear class."""
     if isinstance(model, Schrodinger):
@@ -220,13 +208,6 @@ def _generator(model: DynamicsModel) -> np.ndarray:
     b[0, 1:] = 2.0 * g.a_lr.real, -2.0 * g.a_lr.imag
     b[1:, 1:] = coherence_matrix(g)
     return b
-
-
-def derivative(model: DynamicsModel, state: TwoLevelState) -> StateDerivative:
-    """Instantaneous time derivative of the state under a model: B y."""
-    y = np.array([state.rho_ll, state.rho_lr.real, state.rho_lr.imag])
-    d = _generator(model) @ y
-    return StateDerivative(float(d[0]), complex(d[1], d[2]))
 
 
 def _validate_tolerance(tolerance: float) -> float:
@@ -387,42 +368,6 @@ def spectral_solution(
     :func:`spectral_trajectory`."""
     rho_ll, rho_lr = spectral_trajectory(model, initial, [t])
     return TwoLevelState(rho_ll[0], rho_lr[0], check=False)
-
-
-def steady_state_population(model: GeneralLinear) -> float:
-    """Late-time left population from the |+> initial state.
-
-    For a decaying pure-exponential coherence (b_RL = 0, write
-    b_LR = -lambda + i omega_G with lambda > 0) the population converges
-    to
-
-        1/2 + (mu1 lambda - mu2 omega_G) / (lambda^2 + omega_G^2),
-
-    which for the symmetric coupling mu1 = mu2 = mu is the memorable
-    1/2 - mu (omega_G - lambda) / (lambda^2 + omega_G^2).  The shift
-    vanishes only on a measure-zero parameter line (mu1 lambda =
-    mu2 omega_G), so a nonzero population shift is a generic signature
-    of coherence-to-population coupling.
-
-    Raises :class:`UnsupportedModelError` for b_RL != 0 (no
-    single-exponential coherence) and :class:`NoSteadyStateError` for
-    lambda <= 0 (the integral does not converge).
-    """
-    model = _as_general(model)
-    if model.b_rl != 0.0:
-        raise UnsupportedModelError(
-            "closed-form steady state requires b_rl = 0 "
-            "(pure-exponential coherence)"
-        )
-    lam = -model.b_lr.real
-    omega_g = model.b_lr.imag
-    if lam <= 0.0:
-        raise NoSteadyStateError(
-            "coherence does not decay (lambda <= 0); the late-time "
-            "population limit does not exist"
-        )
-    mu1, mu2 = model.a_lr.real, model.a_lr.imag
-    return 0.5 + (mu1 * lam - mu2 * omega_g) / (lam**2 + omega_g**2)
 
 
 def model_descriptor(model: DynamicsModel) -> str:

@@ -1,9 +1,11 @@
 """Public surface: the package re-exports exactly what its modules declare,
-and importing the CLI pulls in no module it does not need."""
+the README's examples run, and importing the CLI pulls in no module it
+does not need."""
 
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,6 +38,14 @@ def test_package_reexports_match_module_all():
             "that the package does not re-export"
         )
         assert all(hasattr(module, name) for name in declared)
+
+
+def test_readme_examples_run():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():

@@ -270,6 +270,22 @@ def test_sweep_zero_steps_exits_2(tmp_path, capsys):
     assert "steps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "bounds, named",
+    [
+        (["--min", "inf", "--max", "1"], "--min"),
+        (["--min", "nan", "--max", "1"], "--min"),
+        (["--min", "0.06", "--max=-inf"], "--max"),
+    ],
+)
+def test_sweep_non_finite_bound_exits_2(tmp_path, capsys, bounds, named):
+    code = main(["sweep", "--parameter", "d1", *bounds, "--steps", "3",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_sweep_unknown_parameter_exits_2(tmp_path, capsys):
     code = main(
         ["sweep", "--parameter", "d3", "--min", "0.06", "--max", "0.11",
@@ -404,6 +420,7 @@ def test_fit_tolerance_at_or_below_machine_epsilon_exits_2(
         (["--model", "schrodinger", "--noise-sd", "nan"], "--noise-sd"),
         (["--model", "schrodinger", "--omega-q", "nan"], "--omega-q"),
         (["--model", "general", "--a-lr", "0.1", "--b-lr=infj"], "--b-lr"),
+        (["--model", "schrodinger", "--noise-sd", "inf"], "--noise-sd"),
     ],
 )
 def test_simulate_invalid_model_value_exits_2(tmp_path, capsys, flags, named):

@@ -4,15 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from gravfringe.config import cesium_tungsten_config, with_updates
-from gravfringe.errors import DomainError, InfeasibleGeometryError
+from gravfringe.errors import ConfigValidationError, DomainError
 from gravfringe.gravity import (
     frequency_report,
     omega_classical,
     omega_quantum,
-    solve_null_distance,
-    solve_null_quantum_distance,
     two_ball_derivative,
     two_ball_potential,
 )
@@ -159,45 +159,71 @@ def test_earth_limit_frequencies_agree():
 
 
 def test_null_classical_closed_form(cfg):
-    d2 = solve_null_distance(cfg, "dist_right")
+    d2 = frequency_report(cfg)["null_classical_dist_right_m"]
     assert d2 == pytest.approx(cfg.dist_left * math.sqrt(2), rel=1e-15)
     nulled = with_updates(cfg, dist_right=d2)
     assert abs(omega_classical(nulled)) < 1e-15 * abs(omega_quantum(nulled))
 
 
-def test_null_classical_left_side(cfg):
-    d1 = solve_null_distance(cfg, "dist_left")
-    nulled = with_updates(cfg, dist_left=d1)
-    assert abs(omega_classical(nulled)) < 1e-12 * abs(omega_quantum(nulled))
-
-
 def test_null_quantum_distance(cfg):
-    d2 = solve_null_quantum_distance(cfg)
+    report = frequency_report(cfg)
+    d2 = report["null_quantum_dist_right_m"]
     nulled = with_updates(cfg, dist_right=d2)
     assert abs(omega_quantum(nulled)) < 1e-12 * abs(omega_classical(nulled))
     # distinct from the classical null since M1 != M2
-    assert d2 != pytest.approx(solve_null_distance(cfg), rel=1e-6)
+    assert d2 != pytest.approx(report["null_classical_dist_right_m"], rel=1e-6)
 
 
-def test_null_infeasible_geometry():
-    # shrinking d1 so far that the nulling d2 would sit inside the arm
-    cfg = cesium_tungsten_config()
-    tight = with_updates(
+def _feasible(config, **updates):
+    """``with_updates(config, **updates)``, or None if no ball fits."""
+    try:
+        return with_updates(config, **updates)
+    except ConfigValidationError:
+        return None
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    mass_left=st.floats(0.005, 0.5),
+    # away from 1: at M1 = M2 the two nulls coincide
+    mass_ratio=st.floats(1.5, 8.0) | st.floats(1 / 8.0, 1 / 1.5),
+    dist_left=st.floats(0.05, 0.5),
+    dist_right=st.floats(0.05, 1.0),
+    # dx/d1 bounded away from 2, where d1^2 - dx^2/4 cancels
+    separation_share=st.floats(0.2, 1.2),
+)
+# the classical null, and so the rounded variant, puts the right ball on the arm
+@example(
+    mass_left=0.5, mass_ratio=0.25, dist_left=0.5, dist_right=0.6, separation_share=1.0
+)
+def test_frequency_report_nulls_zero_their_frequencies(
+    cfg, mass_left, mass_ratio, dist_left, dist_right, separation_share
+):
+    config = _feasible(
         cfg,
-        mass_right=2000.0,  # ~2 tonnes: nulling d2 jumps two orders
-        dist_right=4.0,
+        mass_left=mass_left,
+        mass_right=mass_left * mass_ratio,
+        dist_left=dist_left,
+        dist_right=dist_right,
+        arm_separation=separation_share * dist_left,
     )
-    # classical null for a 2 t ball needs d2 = d1*sqrt(1e5) ~ 18 m: fine.
-    # quantum null likewise fine; instead make the LEFT solve infeasible:
-    # d1 = d2 / sqrt(M2/M1) collapses below the ball radius.
-    with pytest.raises(InfeasibleGeometryError):
-        solve_null_distance(with_updates(tight, dist_right=0.35), "dist_left")
+    assume(config is not None)
+    report = frequency_report(config)
+    classical = report["null_classical_dist_right_m"]
+    quantum = report["null_quantum_dist_right_m"]
+    assert classical == pytest.approx(
+        config.dist_left * math.sqrt(config.mass_right / config.mass_left), rel=1e-15
+    )
+    assert classical != pytest.approx(quantum, rel=1e-6)
+    # the config's own omega_Q is the scale, so keep its dist_right off the null
+    assume(abs(config.dist_right - quantum) > 0.1 * quantum)
 
-
-def test_frequency_report_nulls_equal_the_solvers(cfg):
-    report = frequency_report(cfg)
-    assert report["null_classical_dist_right_m"] == solve_null_distance(cfg)
-    assert report["null_quantum_dist_right_m"] == solve_null_quantum_distance(cfg)
+    nulled = _feasible(config, dist_right=classical)
+    if nulled is not None:
+        assert abs(omega_classical(nulled)) <= 1e-12 * abs(omega_quantum(nulled))
+    nulled = _feasible(config, dist_right=quantum)
+    assume(nulled is not None)
+    assert abs(omega_quantum(nulled)) <= 1e-12 * abs(omega_quantum(config))
 
 
 def test_frequency_report_keys(cfg):

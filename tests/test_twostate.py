@@ -8,12 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gravfringe.errors import (
-    CoherenceGrowthWarning,
-    NoSteadyStateError,
-    PositivityWarning,
-    UnsupportedModelError,
-)
+from gravfringe.errors import CoherenceGrowthWarning, PositivityWarning
 from gravfringe.twostate import (
     PLUS_STATE,
     ClassicalPoisson,
@@ -21,13 +16,12 @@ from gravfringe.twostate import (
     Schrodinger,
     TilloyDiosi,
     TwoLevelState,
+    _generator,
     coherence_matrix,
-    derivative,
     eigenvalue_branch,
     evolve,
     spectral_solution,
     spectral_trajectory,
-    steady_state_population,
     trajectory,
 )
 
@@ -76,22 +70,6 @@ def test_state_validation():
     assert s.positivity_defect() > 0
 
 
-def test_derivative_forms():
-    d = derivative(Schrodinger(omega_q=0.22), PLUS_STATE)
-    assert d.d_rho_ll == 0.0
-    assert d.d_rho_lr == pytest.approx(1j * 0.22 * 0.5)
-
-    d = derivative(TilloyDiosi(lam=0.1, omega_g=0.3), PLUS_STATE)
-    assert d.d_rho_lr == pytest.approx((-0.1 + 0.3j) * 0.5)
-
-    # population moves only through the coherence coupling
-    g = GeneralLinear(a_lr=0.2 + 0.05j, b_lr=-0.1 + 0.3j)
-    d = derivative(g, PLUS_STATE)
-    assert d.d_rho_ll == pytest.approx(2 * (0.2 * 0.5 - 0.05 * 0.0))
-    decohered = TwoLevelState(0.7, 0.0)
-    assert derivative(g, decohered).d_rho_ll == 0.0
-
-
 @settings(max_examples=40, deadline=None)
 @given(general_models | named_models, states())
 def test_derivative_matches_component_formulas(model, state):
@@ -102,9 +80,9 @@ def test_derivative_matches_component_formulas(model, state):
         g = GeneralLinear(0j, _coherence_rate(model))
     mu1, mu2 = g.a_lr.real, g.a_lr.imag
     z = state.rho_lr
-    d = derivative(model, state)
-    assert abs(d.d_rho_ll - 2.0 * (mu1 * z.real - mu2 * z.imag)) <= 1e-15
-    assert abs(d.d_rho_lr - (g.b_lr * z + g.b_rl * z.conjugate())) <= 1e-15
+    d = _generator(model) @ np.array([state.rho_ll, z.real, z.imag])
+    assert abs(d[0] - 2.0 * (mu1 * z.real - mu2 * z.imag)) <= 1e-15
+    assert abs(complex(d[1], d[2]) - (g.b_lr * z + g.b_rl * z.conjugate())) <= 1e-15
 
 
 def test_tilloy_diosi_rejects_negative_rate():
@@ -296,22 +274,6 @@ def test_positivity_warning_on_unphysical_coupling():
         spectral_solution(model, PLUS_STATE, 40.0)
 
 
-def test_steady_state_formula_and_edges():
-    mu, lam, wg = 0.07, 0.3, 0.8
-    model = GeneralLinear(complex(mu, mu), complex(-lam, wg), 0j)
-    expected = 0.5 - mu * (wg - lam) / (lam**2 + wg**2)
-    assert steady_state_population(model) == pytest.approx(expected, rel=1e-15)
-
-    # lambda = omega_G with symmetric coupling: shift cancels exactly
-    sym = GeneralLinear(complex(0.2, 0.2), complex(-0.5, 0.5), 0j)
-    assert steady_state_population(sym) == pytest.approx(0.5, abs=1e-15)
-
-    with pytest.raises(NoSteadyStateError):
-        steady_state_population(GeneralLinear(0.1 + 0j, 0 + 1j, 0j))
-    with pytest.raises(UnsupportedModelError):
-        steady_state_population(GeneralLinear(0.1 + 0j, -0.5 + 1j, 0.1 + 0j))
-
-
 def test_steady_state_matches_long_integration():
     rng = np.random.default_rng(11)
     for _ in range(5):
@@ -319,7 +281,7 @@ def test_steady_state_matches_long_integration():
         lam = rng.uniform(0.2, 1.0)
         wg = rng.uniform(0.0, 1.0)
         model = GeneralLinear(complex(mu1, mu2), complex(-lam, wg), 0j)
-        target = steady_state_population(model)
+        target = 0.5 + (mu1 * lam - mu2 * wg) / (lam**2 + wg**2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PositivityWarning)
             out = evolve(model, PLUS_STATE, 30.0 / lam)
