@@ -368,6 +368,11 @@ def _cmd_sweep(args: argparse.Namespace, out_dir: Path) -> int:
     for flag, value in (("--min", args.lo), ("--max", args.hi)):
         if not math.isfinite(value):
             raise ConfigValidationError(f"{flag} must be finite, got {value!r}")
+    if not math.isfinite(args.hi - args.lo):
+        raise ConfigValidationError(
+            f"--max minus --min must be finite, got --min={args.lo!r} "
+            f"--max={args.hi!r}"
+        )
     config = _resolve_experiment_config(args)
     field = _SWEEP_FIELDS[args.parameter]
     options = {
@@ -443,7 +448,7 @@ def _cmd_fit(args: argparse.Namespace, out_dir: Path) -> int:
             raise ConfigValidationError(f"--tolerance: {exc}") from None
     write_fit_result(fit, out_dir / "fit.txt")
     manifest.finalize("fit.txt")
-    print((out_dir / "fit.txt").read_text(), end="")
+    print((out_dir / "fit.txt").read_text(encoding="utf-8"), end="")
     return 0
 
 

@@ -241,7 +241,7 @@ def _write_atomic(path: str | Path, text: str) -> None:
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text)
+        tmp.write_text(text, encoding="utf-8")
         tmp.replace(path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -282,7 +282,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Read and parse a configuration file."""
-    return parse_config(Path(path).read_text())
+    return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
 def serialize_config(config: ExperimentConfig) -> str:

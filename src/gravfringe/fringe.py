@@ -106,6 +106,12 @@ class FringeRecord:
                 f"record model {self.model!r} must hold no comma, no line "
                 "break and no leading or trailing whitespace"
             )
+        try:
+            self.model.encode("utf-8")
+        except UnicodeEncodeError:
+            raise RecordError(
+                f"record model {self.model!r} does not encode as UTF-8"
+            ) from None
         if self.noise_sd == 0.0:
             # a noiseless signal is a probability
             if np.any(signal < -1e-9) or np.any(signal > 1.0 + 1e-9):
@@ -181,7 +187,7 @@ def write_record(record: FringeRecord, path: str | Path) -> None:
 
 def read_record(path: str | Path) -> FringeRecord:
     """Read a record written by :func:`write_record`."""
-    text = Path(path).read_text().splitlines()
+    text = Path(path).read_text(encoding="utf-8").splitlines()
     if not text or not text[0].startswith("#"):
         raise RecordError(f"{path}: missing metadata header line")
     meta: dict[str, str] = {}
@@ -430,7 +436,9 @@ def write_fit_result(fit: FitResult, path: str | Path) -> None:
 def read_fit_result(path: str | Path) -> FitResult:
     """Read a fit result written by :func:`write_fit_result`."""
     values = _parse_flat_document(
-        Path(path).read_text(), f"fit result {path}", text_keys={"lambda_at_bound"}
+        Path(path).read_text(encoding="utf-8"),
+        f"fit result {path}",
+        text_keys={"lambda_at_bound"},
     )
     covariance = np.zeros((3, 3))
     for i, a in enumerate(_COV_NAMES):

@@ -293,7 +293,7 @@ def parse_oracle_config(text: str) -> OracleConfig:
 
 def load_oracle_config(path: str | Path) -> OracleConfig:
     """Read and parse an oracle configuration file."""
-    return parse_oracle_config(Path(path).read_text())
+    return parse_oracle_config(Path(path).read_text(encoding="utf-8"))
 
 
 def serialize_oracle_config(config: OracleConfig) -> str:

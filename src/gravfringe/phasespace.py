@@ -41,6 +41,11 @@ transform
 
     rho(x, y) = INT dp exp(i p (x - y) / hbar) W((x + y)/2, p).
 
+The W row at a midpoint that is a q node is read straight off the grid
+(the oracle's midpoint q = 0 is one); any other midpoint gets the
+trigonometric interpolant along q, which is exact for the periodic
+layout below.
+
 Axes are uniform and endpoint-exclusive (periodic FFT layout).  All
 quantities are unit-agnostic: the desk-scale oracle runs in
 nondimensional units where the fringes are resolvable; SI
@@ -54,7 +59,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     DerivativeOrderError,
@@ -510,13 +514,45 @@ def evolve_wigner(
 # ------------------------------------------------------------- transforms
 
 
+def _rows_at(w: WignerGrid, q: np.ndarray) -> np.ndarray:
+    """W(q, p) rows at the points ``q``, shape ``q.shape + (n_p,)``.
+
+    A point that equals a q node reads that row of ``w.values``.  Any
+    other point takes the trigonometric interpolant along q: one rfft of
+    W along q, then a (points, n_q//2 + 1) basis times the spectrum,
+    with the Nyquist term of an even-length axis as a cosine.  That is
+    exact for rows band-limited on the periodic, endpoint-exclusive
+    axis.
+    """
+    flat = q.ravel()
+    n = w.q_axis.size
+    index = np.minimum(np.searchsorted(w.q_axis, flat), n - 1)
+    on_grid = w.q_axis[index] == flat
+    rows = np.empty((flat.size, w.p_axis.size))
+    rows[on_grid] = w.values[index[on_grid]]
+    if not on_grid.all():
+        spectrum = np.fft.rfft(w.values, axis=0)  # (n//2 + 1, n_p)
+        k = np.arange(spectrum.shape[0])
+        steps = (flat[~on_grid] - w.q_axis[0]) / w.dq
+        basis = np.exp(2j * math.pi / n * np.multiply.outer(steps, k))
+        weight = np.full(k.size, 2.0 / n)
+        weight[0] = 1.0 / n
+        if n % 2 == 0:
+            weight[-1] = 1.0 / n
+            basis[:, -1] = basis[:, -1].real
+        rows[~on_grid] = ((basis * weight) @ spectrum).real
+    return rows.reshape(q.shape + (w.p_axis.size,))
+
+
 def weyl_density_matrix(w: WignerGrid, x, y):
     """Position kernel rho(x, y) recovered from the grid.
 
-    rho(x, y) = INT dp e^{i p (x - y)/hbar} W((x+y)/2, p), with the
-    W row at (x+y)/2 obtained by cubic interpolation along q and the
-    p integral done on the grid.  ``x`` and ``y`` broadcast; midpoints
-    outside the q axis raise :class:`GridError`.
+    rho(x, y) = INT dp e^{i p (x - y)/hbar} W((x+y)/2, p), with the p
+    integral done on the grid.  The W row at (x+y)/2 is the grid row
+    when the midpoint is exactly a q node (bit for bit the stored
+    values), and the trigonometric interpolant along q otherwise.
+    ``x`` and ``y`` broadcast; midpoints outside the q axis raise
+    :class:`GridError`.
     """
     xv = np.asarray(x, dtype=float)
     yv = np.asarray(y, dtype=float)
@@ -527,8 +563,7 @@ def weyl_density_matrix(w: WignerGrid, x, y):
             "midpoint (x+y)/2 outside the grid's q axis; the kernel there "
             "is not represented"
         )
-    spline = CubicSpline(w.q_axis, w.values, axis=0)
-    rows = spline(mid)  # (..., n_p)
+    rows = _rows_at(w, mid)  # (..., n_p)
     phases = np.exp(1j * np.multiply.outer(sep, w.p_axis) / w.hbar)
     out = (rows * phases).sum(axis=-1) * w.dp
     return out if out.ndim else complex(out)
@@ -546,14 +581,19 @@ def potential_commutator_term(
     (x - y) / (i hbar) * V'((x+y)/2) * rho(x, y): the first-order term
     of the von Neumann commutator [V, rho], which the Weyl transform of
     :func:`potential_bracket` must reproduce.  ``rho_kernel`` is any
-    callable (x, y) -> complex; V' is interpolated from the field's
-    samples.  Midpoints outside the axis raise :class:`DomainError`.
+    callable (x, y) -> complex; V' is a cubic spline of the field's
+    samples (V' is not periodic on the grid, so the trigonometric
+    interpolant of :func:`weyl_density_matrix` would not fit it).
+    Midpoints outside the axis raise :class:`DomainError`.
     """
     xv = np.asarray(x, dtype=float)
     yv = np.asarray(y, dtype=float)
     mid = 0.5 * (xv + yv)
     if np.any(mid < h.q_axis[0]) or np.any(mid > h.q_axis[-1]):
         raise DomainError("midpoint (x+y)/2 outside the sampled potential axis")
+    # library-only cross-check: no CLI path pays for scipy.interpolate
+    from scipy.interpolate import CubicSpline
+
     v1 = CubicSpline(h.q_axis, h.derivative(1))(mid)
     out = (xv - yv) / (1j * hbar) * v1 * rho_kernel(xv, yv)
     return out if np.ndim(out) else complex(out)

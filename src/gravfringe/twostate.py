@@ -55,7 +55,6 @@ from dataclasses import InitVar, dataclass
 from typing import Union
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .errors import (
@@ -262,6 +261,9 @@ def trajectory(
     if ts[-1] == 0.0:
         y = np.repeat(y0[:, None], ts.size, axis=1)
     else:
+        # library-only cross-check: no CLI path pays for scipy.integrate
+        from scipy.integrate import solve_ivp
+
         b = _generator(model)
         sol = solve_ivp(
             lambda t, y: b @ y,

@@ -1,6 +1,7 @@
 """Public surface: the package re-exports exactly what its modules declare,
-the README's examples run, and importing the CLI pulls in no module it
-does not need."""
+the README's examples run, importing the CLI pulls in no module it does
+not need, and no file the CLI reads or writes depends on the locale's
+encoding."""
 
 import ast
 import importlib
@@ -48,20 +49,46 @@ def test_readme_examples_run():
         exec(compile(block, "README.md", "exec"), {})
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
-    # scipy.signal is the largest import a CLI process could pay for, and
-    # only a fit of a non-uniform record needs it
+def _run_python(*args: str, cwd: Path | None = None) -> str:
     src = Path(gravfringe.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    code = (
-        "import gravfringe.cli, sys; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"
-    )
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *args],
         env=env,
+        cwd=cwd,
         capture_output=True,
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal is the largest import a CLI process could pay for, and
+    # only a fit of a non-uniform record needs it; scipy.interpolate and
+    # scipy.integrate serve library-only cross-checks
+    lazy = ("scipy.signal", "scipy.interpolate", "scipy.integrate")
+    code = (
+        "import gravfringe.cli, sys; "
+        f"print(sorted(m for m in sys.modules if m.startswith({lazy!r})))"
+    )
+    assert _run_python("-c", code).strip() == "[]"
+
+
+def test_cli_files_name_their_encoding(tmp_path):
+    # -X warn_default_encoding warns on every open() that leaves the
+    # encoding to the locale, and -W error makes that warning fatal
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    code = f"""
+from gravfringe.cli import main
+assert main(["frequencies", "--config", {str(configs / "cesium_tungsten.cfg")!r}]) == 0
+assert main(["simulate", "--model", "schrodinger", "--duration", "60",
+             "--samples", "50", "--out", "sim"]) == 0
+assert main(["fit", "sim/record.csv", "--out", "fit"]) == 0
+assert main(["validate-oracle", "--config",
+             {str(configs / "oracle_quadratic.cfg")!r}]) == 0
+"""
+    _run_python(
+        "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-c", code,
+        cwd=tmp_path,
+    )

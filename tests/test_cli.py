@@ -276,13 +276,16 @@ def test_sweep_zero_steps_exits_2(tmp_path, capsys):
         (["--min", "inf", "--max", "1"], "--min"),
         (["--min", "nan", "--max", "1"], "--min"),
         (["--min", "0.06", "--max=-inf"], "--max"),
+        # each bound is finite, but their span is not
+        (["--min=-1e308", "--max", "1e308"], "--max minus --min"),
     ],
 )
-def test_sweep_non_finite_bound_exits_2(tmp_path, capsys, bounds, named):
+def test_sweep_non_finite_bound_exits_2(tmp_path, capsys, recwarn, bounds, named):
     code = main(["sweep", "--parameter", "d1", *bounds, "--steps", "3",
                  "--out", str(tmp_path)])
     assert code == 2
     assert named in capsys.readouterr().err
+    assert not recwarn.list
     assert not any(tmp_path.iterdir())
 
 

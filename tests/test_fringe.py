@@ -105,7 +105,7 @@ LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 @pytest.mark.parametrize(
     "model",
     ["tilloy,diosi", " lead", "trail ", "a\nb", "a\rb", "a\x0cb", "a\x1cb",
-     "a\x85b", "a\u2028b"],
+     "a\x85b", "a\u2028b", "\ud800"],
 )
 def test_record_rejects_a_model_the_header_cannot_hold(model):
     with pytest.raises(RecordError, match="model"):

@@ -386,6 +386,59 @@ def test_trace_rule_recovers_input_coherence():
         assert kernel_coherence(small_state(c)) == pytest.approx(complex(c), abs=1e-12)
 
 
+def test_on_grid_readout_is_the_stored_row():
+    # a midpoint on a q node reads that row of W as stored, bit for bit,
+    # alone and inside a batch
+    w = small_state(0.3 - 0.2j)
+    nodes = [0, 77, 128, 255]
+    xs = w.q_axis[nodes] - 0.75
+    ys = w.q_axis[nodes] + 0.75
+    assert np.array_equal(0.5 * (xs + ys), w.q_axis[nodes])
+    batch = weyl_density_matrix(w, xs, ys)
+    for k, i in enumerate(nodes):
+        phases = np.exp(1j * np.multiply.outer(xs[k] - ys[k], w.p_axis) / w.hbar)
+        expected = (w.values[i] * phases).sum(-1) * w.dp
+        assert weyl_density_matrix(w, xs[k], ys[k]) == expected
+        assert batch[k] == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n_q=st.integers(8, 64),
+    n_p=st.integers(8, 64),
+    q_lo=st.floats(-10.0, 10.0),
+    length=st.floats(1.0, 20.0),
+    seed=st.integers(0, 2**32 - 1),
+    fractions=st.lists(st.floats(0.005, 0.995), min_size=1, max_size=5),
+)
+def test_off_grid_readout_is_exact_for_band_limited_rows(
+    n_q, n_p, q_lo, length, seed, fractions
+):
+    # W(q, p) = sum over q-wavenumbers below Nyquist of a_m(p) cos + b_m(p) sin
+    # is its own trigonometric interpolant, so the kernel read at any
+    # midpoint equals the p sum of the closed form there
+    rng = np.random.default_rng(seed)
+    q_axis = q_lo + length * np.arange(n_q) / n_q
+    p_axis = -3.0 + 6.0 * np.arange(n_p) / n_p
+    modes = np.arange((n_q - 1) // 2 + 1)  # 2 max(modes) < n_q
+    cos_part, sin_part = rng.uniform(-1.0, 1.0, (2, modes.size, n_p))
+
+    def closed_form(q):
+        angle = 2.0 * math.pi / length * np.multiply.outer(q - q_lo, modes)
+        return np.cos(angle) @ cos_part + np.sin(angle) @ sin_part
+
+    w = WignerGrid(q_axis, p_axis, closed_form(q_axis), hbar=0.7)
+    mid = q_axis[0] + np.array(fractions) * (q_axis[-1] - q_axis[0])
+    sep = rng.uniform(-2.0, 2.0, mid.size)
+    xs, ys = mid + 0.5 * sep, mid - 0.5 * sep
+    got = weyl_density_matrix(w, xs, ys)
+    phases = np.exp(1j * np.multiply.outer(xs - ys, p_axis) / w.hbar)
+    rows = closed_form(0.5 * (xs + ys))
+    expected = (rows * phases).sum(-1) * w.dp
+    scale = np.abs(cos_part).sum() + np.abs(sin_part).sum()
+    assert np.abs(got - expected).max() <= 1e-12 * scale * w.dp
+
+
 def test_weyl_outside_grid_rejected():
     w = small_state(0.3)
     with pytest.raises(GridError, match="midpoint"):
