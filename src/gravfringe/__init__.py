@@ -49,7 +49,6 @@ from .gravity import (
     omega_classical,
     omega_quantum,
     two_ball_derivative,
-    two_ball_potential,
 )
 from .fringe import (
     FitResult,

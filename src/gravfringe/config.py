@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 from .errors import ConfigParseError, ConfigValidationError, DomainError
@@ -88,20 +88,14 @@ class ExperimentConfig:
     constants: PhysicalConstants = field(default_factory=PhysicalConstants)
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if f.name != "constants" and not math.isfinite(getattr(self, f.name)):
-                raise ConfigValidationError(f"{f.name} must be finite")
-        positive = {
-            "particle_mass_amu": self.particle_mass_amu,
-            "arm_separation": self.arm_separation,
-            "mass_left": self.mass_left,
-            "mass_right": self.mass_right,
-            "dist_left": self.dist_left,
-            "dist_right": self.dist_right,
-            "source_density": self.source_density,
-        }
-        for name, value in positive.items():
-            if not value > 0.0:
+        values = [
+            (f.name, getattr(self, f.name)) for f in fields(self) if f.name != "constants"
+        ]
+        for name, value in values:
+            if not math.isfinite(value):
+                raise ConfigValidationError(f"{name} must be finite")
+        for name, value in values:
+            if name != "hold_time" and not value > 0.0:
                 raise ConfigValidationError(f"{name} must be strictly positive")
         if not self.hold_time >= 0.0:
             raise ConfigValidationError("hold_time must be non-negative")
@@ -149,22 +143,29 @@ def ball_radius(mass: float, density: float) -> float:
 
 # ------------------------------------------------------------------ I/O
 
-_REQUIRED_KEYS = (
-    "particle_mass_amu",
-    "arm_separation_m",
-    "mass_left_kg",
-    "mass_right_kg",
-    "dist_left_m",
-    "dist_right_m",
+#: Document key of each ``ExperimentConfig`` field, in document order.
+_FIELD_KEYS = {
+    "particle_mass_amu": "particle_mass_amu",
+    "arm_separation": "arm_separation_m",
+    "mass_left": "mass_left_kg",
+    "mass_right": "mass_right_kg",
+    "dist_left": "dist_left_m",
+    "dist_right": "dist_right_m",
+    "source_density": "source_density_kg_m3",
+    "hold_time": "hold_time_s",
+}
+#: Document key of each ``PhysicalConstants`` field, in document order.
+_CONSTANT_KEYS = {
+    "G": "gravitational_constant_si",
+    "hbar": "hbar_js",
+    "amu": "atomic_mass_unit_kg",
+}
+_ALL_KEYS = (*_FIELD_KEYS.values(), *_CONSTANT_KEYS.values())
+_REQUIRED_KEYS = tuple(
+    _FIELD_KEYS[f.name]
+    for f in fields(ExperimentConfig)
+    if f.default is MISSING and f.default_factory is MISSING
 )
-_OPTIONAL_KEYS = (
-    "source_density_kg_m3",
-    "hold_time_s",
-    "gravitational_constant_si",
-    "hbar_js",
-    "atomic_mass_unit_kg",
-)
-_ALL_KEYS = frozenset(_REQUIRED_KEYS) | frozenset(_OPTIONAL_KEYS)
 
 
 def _parse_flat_document(
@@ -247,37 +248,43 @@ def _write_atomic(path: str | Path, text: str) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def _check_keys(
+    values: dict[str, object],
+    context: str,
+    allowed: Iterable[str],
+    required: Iterable[str],
+) -> None:
+    """Raise :class:`ConfigParseError` naming unknown, then missing, keys.
+
+    The one key check of every flat document reader; ``context`` names
+    the document kind in the message.
+    """
+    unknown = sorted(set(values) - set(allowed))
+    if unknown:
+        raise ConfigParseError(f"unknown {context} key(s): {', '.join(unknown)}")
+    missing = sorted(k for k in required if k not in values)
+    if missing:
+        raise ConfigParseError(
+            f"missing required {context} key(s): {', '.join(missing)}"
+        )
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse a configuration document into an :class:`ExperimentConfig`.
 
     Unknown keys and missing required keys raise
-    :class:`ConfigParseError` naming the key; invariant violations raise
+    :class:`ConfigParseError` naming the key; omitted optional keys
+    take the dataclass defaults; invariant violations raise
     :class:`ConfigValidationError`.
     """
     values = _parse_flat_document(text, "config")
-    unknown = sorted(set(values) - _ALL_KEYS)
-    if unknown:
-        raise ConfigParseError(f"unknown config key(s): {', '.join(unknown)}")
-    missing = sorted(k for k in _REQUIRED_KEYS if k not in values)
-    if missing:
-        raise ConfigParseError(f"missing required config key(s): {', '.join(missing)}")
+    _check_keys(values, "config", _ALL_KEYS, _REQUIRED_KEYS)
 
-    constants = PhysicalConstants(
-        G=values.get("gravitational_constant_si", PhysicalConstants.G),
-        hbar=values.get("hbar_js", PhysicalConstants.hbar),
-        amu=values.get("atomic_mass_unit_kg", PhysicalConstants.amu),
-    )
-    return ExperimentConfig(
-        particle_mass_amu=values["particle_mass_amu"],
-        arm_separation=values["arm_separation_m"],
-        mass_left=values["mass_left_kg"],
-        mass_right=values["mass_right_kg"],
-        dist_left=values["dist_left_m"],
-        dist_right=values["dist_right_m"],
-        source_density=values.get("source_density_kg_m3", 19300.0),
-        hold_time=values.get("hold_time_s", 60.0),
-        constants=constants,
-    )
+    def present(keys: dict[str, str]) -> dict[str, float | str]:
+        return {name: values[key] for name, key in keys.items() if key in values}
+
+    constants = PhysicalConstants(**present(_CONSTANT_KEYS))
+    return ExperimentConfig(**present(_FIELD_KEYS), constants=constants)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -292,23 +299,14 @@ def serialize_config(config: ExperimentConfig) -> str:
     value is written as stored, and constants left at their defaults
     are omitted.
     """
-    c = config.constants
-    defaults = PhysicalConstants()
-    return "# interferometer configuration\n" + _render_flat(
-        [
-            ("particle_mass_amu", config.particle_mass_amu),
-            ("arm_separation_m", config.arm_separation),
-            ("mass_left_kg", config.mass_left),
-            ("mass_right_kg", config.mass_right),
-            ("dist_left_m", config.dist_left),
-            ("dist_right_m", config.dist_right),
-            ("source_density_kg_m3", config.source_density),
-            ("hold_time_s", config.hold_time),
-            ("gravitational_constant_si", c.G if c.G != defaults.G else None),
-            ("hbar_js", c.hbar if c.hbar != defaults.hbar else None),
-            ("atomic_mass_unit_kg", c.amu if c.amu != defaults.amu else None),
-        ]
-    )
+    constants = config.constants
+    pairs = [(key, getattr(config, name)) for name, key in _FIELD_KEYS.items()]
+    pairs += [
+        (key, getattr(constants, name))
+        for name, key in _CONSTANT_KEYS.items()
+        if getattr(constants, name) != getattr(PhysicalConstants, name)
+    ]
+    return "# interferometer configuration\n" + _render_flat(pairs)
 
 
 def save_config(config: ExperimentConfig, path: str | Path) -> None:
@@ -316,7 +314,7 @@ def save_config(config: ExperimentConfig, path: str | Path) -> None:
     _write_atomic(path, serialize_config(config))
 
 
-def cesium_tungsten_config(rounded_distances: bool = False) -> ExperimentConfig:
+def cesium_tungsten_config() -> ExperimentConfig:
     """Benchmark geometry: a caesium atom between tungsten balls.
 
     A 133 amu particle split over 10 cm, a 20 g ball on the left and a
@@ -324,18 +322,13 @@ def cesium_tungsten_config(rounded_distances: bool = False) -> ExperimentConfig:
     ball radius plus 1 mm; the right distance nulls the classical
     frequency exactly (``dist_right = dist_left * sqrt(2)``), leaving
     the two-arm phase running at the quantum frequency alone,
-    about 0.22 rad/s.
-
-    With ``rounded_distances`` the left distance is rounded to the
-    nearest millimetre first (the headline geometry is usually quoted
-    that way); the quantum frequency then comes out near 0.233 rad/s.
+    about 0.22 rad/s.  :func:`gravfringe.gravity.frequency_report`
+    also reports the variant with the left distance rounded to the
+    millimetre, as the headline geometry is usually quoted.
     """
-    density = 19300.0
     mass_left = 0.020
     mass_right = 0.040
-    dist_left = 0.05 + ball_radius(mass_left, density) + 0.001
-    if rounded_distances:
-        dist_left = round(dist_left, 3)
+    dist_left = 0.05 + ball_radius(mass_left, ExperimentConfig.source_density) + 0.001
     dist_right = dist_left * math.sqrt(mass_right / mass_left)
     return ExperimentConfig(
         particle_mass_amu=133.0,
@@ -344,8 +337,6 @@ def cesium_tungsten_config(rounded_distances: bool = False) -> ExperimentConfig:
         mass_right=mass_right,
         dist_left=dist_left,
         dist_right=dist_right,
-        source_density=density,
-        hold_time=60.0,
     )
 
 

@@ -29,8 +29,9 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import least_squares
 
-from .config import _parse_flat_document, _render_flat, _write_atomic
+from .config import _check_keys, _parse_flat_document, _render_flat, _write_atomic
 from .errors import (
+    ConfigParseError,
     FitConvergenceError,
     InsufficientSpanError,
     RecordError,
@@ -39,7 +40,6 @@ from .twostate import (
     PLUS_STATE,
     DynamicsModel,
     GeneralLinear,
-    TwoLevelState,
     model_descriptor,
     spectral_trajectory,
 )
@@ -130,13 +130,14 @@ def synthesize_record(
     times,
     noise_sd: float = 0.0,
     seed: int | None = None,
-    initial: TwoLevelState = PLUS_STATE,
 ) -> FringeRecord:
     """Sample a model's fringe signal at the given times.
 
-    The closed form :func:`spectral_trajectory` gives every model's
-    track in one call; the population track is included in the record
-    for the general linear model only, the one law that moves it.
+    The state starts in :data:`PLUS_STATE`, the equal superposition
+    the interferometer prepares.  The closed form
+    :func:`spectral_trajectory` gives every model's track in one call;
+    the population track is included in the record for the general
+    linear model only, the one law that moves it.
     Gaussian noise of standard deviation ``noise_sd`` is added from a
     fresh ``default_rng(seed)``; a ``noise_sd`` of zero produces a fully
     deterministic record and records ``seed=None``.
@@ -144,7 +145,7 @@ def synthesize_record(
     if not noise_sd >= 0.0:
         raise ValueError("noise_sd must be non-negative")
     ts = np.asarray(times, dtype=float)
-    population, coherence = spectral_trajectory(model, initial, ts)
+    population, coherence = spectral_trajectory(model, PLUS_STATE, ts)
     if not isinstance(model, GeneralLinear):
         population = None
     signal = 0.5 + coherence.real
@@ -185,24 +186,40 @@ def write_record(record: FringeRecord, path: str | Path) -> None:
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
+_HEADER_KEYS = ("model", "seed", "noise_sd")
+_COLUMNS = ["t_s", "signal", "population"]
+
+
 def read_record(path: str | Path) -> FringeRecord:
-    """Read a record written by :func:`write_record`."""
+    """Read a record written by :func:`write_record`, fail-closed.
+
+    An unknown or repeated header key, a missing one, and any column
+    header other than ``t_s,signal[,population]`` raise
+    :class:`RecordError` naming the key or the column line.
+    """
     text = Path(path).read_text(encoding="utf-8").splitlines()
     if not text or not text[0].startswith("#"):
         raise RecordError(f"{path}: missing metadata header line")
     meta: dict[str, str] = {}
     for item in text[0].lstrip("#").strip().split(","):
         key, _, value = item.partition("=")
-        meta[key.strip()] = value.strip()
-    for required in ("model", "seed", "noise_sd"):
+        key = key.strip()
+        if key not in _HEADER_KEYS:
+            raise RecordError(f"{path}: unknown header key {key!r}")
+        if key in meta:
+            raise RecordError(f"{path}: repeated header key {key!r}")
+        meta[key] = value.strip()
+    for required in _HEADER_KEYS:
         if required not in meta:
             raise RecordError(f"{path}: header missing {required!r}")
     if len(text) < 2:
         raise RecordError(f"{path}: missing column header")
     columns = text[1].split(",")
-    if columns[:2] != ["t_s", "signal"]:
-        raise RecordError(f"{path}: expected columns t_s,signal, got {text[1]!r}")
-    has_population = columns == ["t_s", "signal", "population"]
+    if columns not in (_COLUMNS[:2], _COLUMNS):
+        raise RecordError(
+            f"{path}: expected columns t_s,signal[,population], got {text[1]!r}"
+        )
+    has_population = columns == _COLUMNS
     rows = [line.split(",") for line in text[2:] if line.strip()]
     try:
         data = np.array([[float(v) for v in row] for row in rows])
@@ -334,15 +351,13 @@ def _envelope_seed(
 
 def fit_damped_fringe(
     record: FringeRecord,
-    initial_guess: tuple[float, float, float, float] | None = None,
     tolerance: float = 1e-12,
 ) -> FitResult:
     """Estimate (lambda, omega, contrast, phase) from a record.
 
     The model is S(t) = 1/2 + (C/2) e^{-lambda t} cos(omega t + phi).
     Seeds come from a periodogram peak (omega), a Hilbert-envelope
-    regression (lambda, C), and the first samples (phi), unless an
-    explicit ``initial_guess`` (lambda, omega, C, phi) is given.
+    regression (lambda, C), and the first samples (phi).
     Bounded least squares keeps lambda >= 0; a record preferring
     growth pins the estimate at zero and sets ``lambda_at_bound``.
 
@@ -358,14 +373,11 @@ def fit_damped_fringe(
         )
     times = record.times
     signal = record.signal
-    if initial_guess is not None:
-        lam0, omega0, contrast0, phase0 = map(float, initial_guess)
-    else:
-        omega0 = _periodogram_peak(times, signal)
-        lam0, contrast0 = _envelope_seed(times, signal)
-        # phase from the dominant quadrature at t approx times[0]
-        rotated = (signal - signal.mean()) * np.exp(-1j * omega0 * times)
-        phase0 = float(-np.angle(np.mean(rotated)))
+    omega0 = _periodogram_peak(times, signal)
+    lam0, contrast0 = _envelope_seed(times, signal)
+    # phase from the dominant quadrature at t approx times[0]
+    rotated = (signal - signal.mean()) * np.exp(-1j * omega0 * times)
+    phase0 = float(-np.angle(np.mean(rotated)))
     if omega0 <= 0.0:
         raise InsufficientSpanError("periodogram found no positive frequency")
     periods = record.span * omega0 / (2.0 * math.pi)
@@ -418,32 +430,47 @@ def fit_damped_fringe(
 
 
 _COV_NAMES = ("lambda", "omega", "contrast")
+#: Document key of each upper-triangle covariance entry.
+_COV_KEYS = {
+    (i, j): f"cov_{a}_{b}"
+    for i, a in enumerate(_COV_NAMES)
+    for j, b in enumerate(_COV_NAMES[i:], start=i)
+}
+_SCALAR_FIELDS = [f.name for f in fields(FitResult) if f.name != "covariance"]
+_FIT_KEYS = (*_SCALAR_FIELDS, *_COV_KEYS.values())
 
 
 def write_fit_result(fit: FitResult, path: str | Path) -> None:
     """Serialise a fit as a flat key/value text block."""
-    pairs = [
-        (f.name, getattr(fit, f.name)) for f in fields(fit) if f.name != "covariance"
-    ]
-    pairs += [
-        (f"cov_{a}_{b}", fit.covariance[i, j])
-        for i, a in enumerate(_COV_NAMES)
-        for j, b in enumerate(_COV_NAMES[i:], start=i)
-    ]
+    pairs = [(name, getattr(fit, name)) for name in _SCALAR_FIELDS]
+    pairs += [(key, fit.covariance[ij]) for ij, key in _COV_KEYS.items()]
     _write_atomic(path, _render_flat(pairs))
 
 
 def read_fit_result(path: str | Path) -> FitResult:
-    """Read a fit result written by :func:`write_fit_result`."""
+    """Read a fit result written by :func:`write_fit_result`, fail-closed.
+
+    Every key the writer emits is required and no other is allowed;
+    ``n_samples`` must be an integer and ``lambda_at_bound`` must read
+    ``true`` or ``false``.  Each violation raises
+    :class:`ConfigParseError` naming the key.
+    """
     values = _parse_flat_document(
         Path(path).read_text(encoding="utf-8"),
         f"fit result {path}",
         text_keys={"lambda_at_bound"},
     )
+    _check_keys(values, "fit result", _FIT_KEYS, _FIT_KEYS)
+    if not values["n_samples"].is_integer():
+        raise ConfigParseError("fit result key 'n_samples' must be an integer")
+    if values["lambda_at_bound"] not in ("true", "false"):
+        raise ConfigParseError(
+            "fit result key 'lambda_at_bound' must be true or false, got "
+            f"{values['lambda_at_bound']!r}"
+        )
     covariance = np.zeros((3, 3))
-    for i, a in enumerate(_COV_NAMES):
-        for j, b in enumerate(_COV_NAMES[i:], start=i):
-            covariance[i, j] = covariance[j, i] = values[f"cov_{a}_{b}"]
+    for (i, j), key in _COV_KEYS.items():
+        covariance[i, j] = covariance[j, i] = values[key]
     return FitResult(
         lambda_hat=values["lambda_hat"],
         omega_hat=values["omega_hat"],

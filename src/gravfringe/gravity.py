@@ -29,10 +29,11 @@ ball distances, and the two null conditions are distinct whenever the
 ball masses differ -- that distinctness is what makes the geometry a
 discriminating measurement rather than a calibration.
 
-The units-free helpers ``two_ball_potential`` and
-``two_ball_derivative`` take the couplings ``g_i`` directly and also
-serve the scaled phase-space oracle; the config-facing frequency
-functions evaluate the closed forms above in SI units.
+The units-free helper ``two_ball_derivative`` evaluates V^(k) for any
+k >= 0 (k = 0 is the potential itself); it takes the couplings ``g_i``
+directly and also serves the scaled phase-space oracle.  The
+config-facing frequency functions evaluate the closed forms above in
+SI units.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .config import ExperimentConfig, with_updates
 from .errors import ConfigValidationError, DomainError
 
 __all__ = [
-    "two_ball_potential",
     "two_ball_derivative",
     "omega_classical",
     "omega_quantum",
@@ -63,28 +63,17 @@ def _check_domain(x, d1: float, d2: float):
     return x
 
 
-def two_ball_potential(x, g1: float, g2: float, d1: float, d2: float):
-    """Potential energy -g1/(d1+x) - g2/(d2-x) on the open interval.
-
-    ``x`` may be a scalar or an array; the return matches.  Positions
-    at or beyond a ball centre raise :class:`DomainError` (the potential
-    diverges there and the point particle model has already failed at
-    the ball surface).
-    """
-    xv = _check_domain(x, d1, d2)
-    out = -g1 / (d1 + xv) - g2 / (d2 - xv)
-    return out if out.ndim else float(out)
-
-
 def two_ball_derivative(x, g1: float, g2: float, d1: float, d2: float, order: int = 1):
     """``order``-th spatial derivative of the two-ball potential.
 
-    Closed form for any order >= 0; ``order=0`` returns the potential.
+    Closed form for any order >= 0; ``order=0`` is the potential energy
+    -g1/(d1+x) - g2/(d2-x) itself.  ``x`` may be a scalar or an array;
+    the return matches.  Positions at or beyond a ball centre raise
+    :class:`DomainError` (the potential diverges there and the point
+    particle model has already failed at the ball surface).
     """
     if order < 0:
         raise ValueError("derivative order must be non-negative")
-    if order == 0:
-        return two_ball_potential(x, g1, g2, d1, d2)
     xv = _check_domain(x, d1, d2)
     k = order
     sign = -1.0 if k % 2 else 1.0  # (-1)^k

@@ -23,9 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import _parse_flat_document, _render_flat, _write_atomic
+from .config import _check_keys, _parse_flat_document, _render_flat, _write_atomic
 from .errors import ConfigParseError, ConfigValidationError
-from .gravity import two_ball_derivative, two_ball_potential
+from .gravity import two_ball_derivative
 from .phasespace import (
     BracketOrder,
     HamiltonianField,
@@ -191,8 +191,8 @@ class OracleConfig:
                 self.dist_right,
             )
             slope_mid = float(two_ball_derivative(0.0, *args, order=1))
-            diff = float(two_ball_potential(a, *args)) - float(
-                two_ball_potential(-a, *args)
+            diff = float(two_ball_derivative(a, *args, order=0)) - float(
+                two_ball_derivative(-a, *args, order=0)
             )
         else:
             slope_mid = self.quad_slope
@@ -275,14 +275,7 @@ def parse_oracle_config(text: str) -> OracleConfig:
     ``potential`` is the single string-valued key.
     """
     values = _parse_flat_document(text, "oracle config", text_keys={"potential"})
-    unknown = sorted(set(values) - _ALL_KEYS)
-    if unknown:
-        raise ConfigParseError(f"unknown oracle config key(s): {', '.join(unknown)}")
-    missing = sorted(k for k in _REQUIRED_KEYS if k not in values)
-    if missing:
-        raise ConfigParseError(
-            f"missing required oracle config key(s): {', '.join(missing)}"
-        )
+    _check_keys(values, "oracle config", _ALL_KEYS, _REQUIRED_KEYS)
     for key in _INT_KEYS:
         if key in values:
             if not values[key].is_integer():

@@ -266,10 +266,11 @@ def wigner_from_two_packets(
     packet_width: float,
     coherence: complex,
     hbar: float = 1.0,
-    n_q: int = 512,
-    n_p: int = 512,
-    q_span: tuple[float, float] | None = None,
-    p_span: tuple[float, float] | None = None,
+    *,
+    n_q: int,
+    n_p: int,
+    q_span: tuple[float, float],
+    p_span: tuple[float, float],
 ) -> WignerGrid:
     """Closed-form Wigner function of the two-arm state.
 
@@ -283,13 +284,13 @@ def wigner_from_two_packets(
         G(q, p) = exp(-q^2/(2 sigma^2) - 2 sigma^2 p^2 / hbar^2),
         a = dx/2.
 
-    Defaults: q spans +-1.5 dx, p spans +-8 hbar/sigma, 512 x 512.
-    The arms must be effectively orthogonal (overlap <L|R> =
-    exp(-dx^2 / (8 sigma^2)) below 1e-6), the q span must cover
-    [-dx, dx], the p spacing must resolve the fringe wavevector
-    dx/hbar at or above its Nyquist rate (a coarser grid would hold a
-    silently aliased fringe), and the sampled grid must integrate to 1
-    within 1e-6; each failure is a distinct error.
+    The grid is ``n_q`` x ``n_p`` points over ``q_span`` x ``p_span``,
+    endpoint-exclusive.  The arms must be effectively orthogonal
+    (overlap <L|R> = exp(-dx^2 / (8 sigma^2)) below 1e-6), the q span
+    must cover [-dx, dx], the p spacing must resolve the fringe
+    wavevector dx/hbar at or above its Nyquist rate (a coarser grid
+    would hold a silently aliased fringe), and the sampled grid must
+    integrate to 1 within 1e-6; each failure is a distinct error.
     """
     dx = float(arm_separation)
     sigma = float(packet_width)
@@ -305,10 +306,6 @@ def wigner_from_two_packets(
     c = complex(coherence)
     if abs(c) > 0.5 + 1e-12:
         raise ValueError("|coherence| cannot exceed 1/2 for unit-trace states")
-    if q_span is None:
-        q_span = (-1.5 * dx, 1.5 * dx)
-    if p_span is None:
-        p_span = (-8.0 * hbar / sigma, 8.0 * hbar / sigma)
     q_lo, q_hi = map(float, q_span)
     if q_lo > -dx or q_hi < dx:
         raise GridError(
@@ -323,8 +320,7 @@ def wigner_from_two_packets(
         raise GridError(
             f"momentum spacing {dp!r} cannot resolve the interference "
             f"fringe: need dp <= pi*hbar/separation = {fringe_limit!r} "
-            "(two samples per oscillation; the default grid gives four "
-            "or more)"
+            "(two samples per oscillation)"
         )
     p = p_lo + (p_hi - p_lo) * np.arange(n_p) / n_p
 

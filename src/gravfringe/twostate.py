@@ -296,22 +296,22 @@ def evolve(
     return TwoLevelState(rho_ll[-1], rho_lr[-1], check=False)
 
 
-def eigenvalue_branch(a: np.ndarray, rtol: float = 1e-9) -> str:
+def eigenvalue_branch(a: np.ndarray) -> str:
     """Classify the coherence generator's spectrum for reporting.
 
     Returns ``"real-distinct"``, ``"complex-pair"``, or ``"repeated"``
-    (the last when the eigenvalues agree within ``rtol`` times the
-    matrix scale).  The solution itself never branches on this; it is a
+    (the last when the eigenvalues agree within 1e-9 times the matrix
+    scale).  The solution itself never branches on this; it is a
     human-readable label for which primitive (two exponentials,
     exponential times sine/cosine, or exponential times polynomial)
     the closed form reduces to.
     """
     a = np.asarray(a, dtype=float)
     eigs = np.linalg.eigvals(a)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    if abs(eigs[0] - eigs[1]) <= rtol * scale:
+    tol = 1e-9 * max(1.0, float(np.linalg.norm(a)))
+    if abs(eigs[0] - eigs[1]) <= tol:
         return "repeated"
-    if abs(eigs[0].imag) > rtol * scale:
+    if abs(eigs[0].imag) > tol:
         return "complex-pair"
     return "real-distinct"
 

@@ -1,17 +1,24 @@
 """Public surface: the package re-exports exactly what its modules declare,
 the README's examples run, importing the CLI pulls in no module it does
-not need, and no file the CLI reads or writes depends on the locale's
-encoding."""
+not need, no file the CLI reads or writes depends on the locale's
+encoding, and the benchmark launcher still finds every layer it traces."""
 
 import ast
 import importlib
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import gravfringe
+from gravfringe.fringe import synthesize_record, write_record
+from gravfringe.twostate import TilloyDiosi
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _reexports() -> dict[str, set[str]]:
@@ -78,7 +85,7 @@ def test_cli_import_leaves_scipy_signal_unloaded():
 def test_cli_files_name_their_encoding(tmp_path):
     # -X warn_default_encoding warns on every open() that leaves the
     # encoding to the locale, and -W error makes that warning fatal
-    configs = Path(__file__).resolve().parents[1] / "configs"
+    configs = ROOT / "configs"
     code = f"""
 from gravfringe.cli import main
 assert main(["frequencies", "--config", {str(configs / "cesium_tungsten.cfg")!r}]) == 0
@@ -92,3 +99,40 @@ assert main(["validate-oracle", "--config",
         "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-c", code,
         cwd=tmp_path,
     )
+
+
+def test_bench_launcher_records_every_traced_layer(tmp_path):
+    # bench/launch.py wraps package functions by name; a rename would
+    # silently zero its per-layer metric instead of failing anything
+    def traced(name: str, *argv: str) -> set[str]:
+        spans = tmp_path / f"{name}.json"
+        _run_python(
+            str(ROOT / "bench" / "launch.py"), str(spans), "0",
+            name, *argv, "--out", str(tmp_path / name),
+        )
+        return {span[1] for span in json.loads(spans.read_text())["spans"]}
+
+    record = tmp_path / "record.csv"
+    write_record(
+        synthesize_record(TilloyDiosi(0.05, 0.22), np.linspace(0.0, 120.0, 300)),
+        record,
+    )
+    names = (
+        traced("frequencies")
+        | traced("validate-oracle", "--config",
+                 str(ROOT / "configs" / "oracle_quadratic.cfg"))
+        | traced("fit", str(record))
+    )
+    expected = {
+        "config.load",
+        "gravity.frequency_report",
+        "oracle.run_validation",
+        "phasespace.initial_state",
+        "phasespace.field_build",
+        "phasespace.evolve",
+        "phasespace.readout",
+        "fringe.read_record",
+        "fringe.fit",
+        "fringe.least_squares",
+    }
+    assert not expected - names, sorted(expected - names)

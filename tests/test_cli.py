@@ -456,6 +456,32 @@ def test_fit_unparseable_header_value_exits_2(tmp_path, capsys, good, bad):
 
 
 @pytest.mark.parametrize(
+    "old, new, named",
+    [
+        ("noise_sd=0.0\n", "noise_sd=0.0,bogus=1\n", "'bogus'"),
+        ("noise_sd=0.0\n", "noise_sd=0.0,model=other\n", "'model'"),
+        ("\nt_s,signal,population\n", "\nt_s,signal,populaton\n", "populaton"),
+    ],
+    ids=["unknown-header-key", "repeated-header-key", "misspelt-column"],
+)
+def test_fit_malformed_record_header_exits_2_naming_it(
+    tmp_path, capsys, old, new, named
+):
+    sim_out = tmp_path / "sim"
+    assert main(["simulate", "--model", "general", "--a-lr", "0.01",
+                 "--b-lr=-0.05+0.22j", "--duration", "120", "--samples", "300",
+                 "--out", str(sim_out)]) == 0
+    record = sim_out / "record.csv"
+    text = record.read_text()
+    assert old in text
+    record.write_text(text.replace(old, new, 1))
+    code = main(["fit", str(record), "--out", str(tmp_path / "fit")])
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "fit" / "fit.txt").exists()
+
+
+@pytest.mark.parametrize(
     "argv, key",
     [
         (["fit", "{dir}"], "dir"),

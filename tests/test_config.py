@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from gravfringe.config import (
     serialize_config,
 )
 from gravfringe.errors import ConfigParseError, ConfigValidationError, DomainError
+from gravfringe.gravity import frequency_report
 
 GOOD_DOC = """
 # benchmark geometry
@@ -164,8 +166,14 @@ def test_cesium_tungsten_benchmark_values():
     cfg = cesium_tungsten_config()
     assert cfg.dist_left == pytest.approx(0.0572776152, abs=1e-9)
     assert cfg.dist_right == pytest.approx(cfg.dist_left * math.sqrt(2), rel=1e-15)
-    rounded = cesium_tungsten_config(rounded_distances=True)
-    assert rounded.dist_left == 0.057
+    assert frequency_report(cfg)["dist_left_rounded_mm_m"] == 0.057
+
+
+def test_shipped_config_is_the_builtin_geometry():
+    path = Path(__file__).resolve().parents[1] / "configs" / "cesium_tungsten.cfg"
+    builtin = cesium_tungsten_config()
+    assert path.read_text().endswith(serialize_config(builtin))
+    assert load_config(path) == builtin
 
 
 def test_direct_construction_validates():

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gravfringe.errors import InsufficientSpanError, RecordError
+from gravfringe.errors import ConfigParseError, InsufficientSpanError, RecordError
 from gravfringe.fringe import (
+    FitResult,
     FringeRecord,
     _analytic_signal,
     fit_damped_fringe,
@@ -243,13 +244,6 @@ def test_fit_short_record_raises():
         fit_damped_fringe(rec)
 
 
-def test_fit_accepts_explicit_guess():
-    ts = np.linspace(0, 100, 300)
-    rec = synthesize_record(TilloyDiosi(0.06, 0.25), ts)
-    fit = fit_damped_fringe(rec, initial_guess=(0.1, 0.3, 1.0, 0.0))
-    assert fit.omega_hat == pytest.approx(0.25, rel=1e-6)
-
-
 def test_fit_result_roundtrip(tmp_path):
     ts = np.linspace(0, 100, 300)
     rec = synthesize_record(TilloyDiosi(0.06, 0.25), ts, noise_sd=0.01, seed=5)
@@ -261,6 +255,35 @@ def test_fit_result_roundtrip(tmp_path):
     assert back.omega_hat == fit.omega_hat
     assert np.array_equal(back.covariance, fit.covariance)
     assert back.lambda_at_bound == fit.lambda_at_bound
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("cov_lambda_lambda = 0.0001\n", "", "cov_lambda_lambda"),
+        ("n_samples = 300\n", "n_samples = 300\nbogus = 1\n", "bogus"),
+        ("lambda_at_bound = false", "lambda_at_bound = maybe", "lambda_at_bound"),
+        ("n_samples = 300\n", "n_samples = 300.7\n", "n_samples"),
+    ],
+    ids=["missing-key", "unknown-key", "non-boolean-flag", "fractional-count"],
+)
+def test_read_fit_result_fails_closed_naming_the_key(tmp_path, old, new, key):
+    fit = FitResult(
+        lambda_hat=0.05,
+        omega_hat=0.22,
+        contrast_hat=1.0,
+        phase_hat=0.0,
+        covariance=np.diag([1e-4, 1e-5, 1e-3]),
+        residual_norm=0.1,
+        n_samples=300,
+    )
+    path = tmp_path / "fit.txt"
+    write_fit_result(fit, path)
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    with pytest.raises(ConfigParseError, match=key):
+        read_fit_result(path)
 
 
 def test_population_shift():

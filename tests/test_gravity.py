@@ -14,13 +14,17 @@ from gravfringe.gravity import (
     omega_classical,
     omega_quantum,
     two_ball_derivative,
-    two_ball_potential,
 )
 
 
 @pytest.fixture(scope="module")
 def cfg():
     return cesium_tungsten_config()
+
+
+def two_ball_potential(x, *args):
+    """V itself: the order-0 closed form."""
+    return two_ball_derivative(x, *args, order=0)
 
 
 def si_args(config):
@@ -78,10 +82,13 @@ def test_derivatives_match_finite_differences(cfg):
 
 
 def test_derivative_order_zero_is_potential(cfg):
-    args = si_args(cfg)
-    assert two_ball_derivative(0.01, *args, order=0) == two_ball_potential(
-        0.01, *args
-    )
+    g1, g2, d1, d2 = args = si_args(cfg)
+    value = two_ball_derivative(0.01, *args, order=0)
+    assert isinstance(value, float)
+    assert value == -g1 / (d1 + 0.01) - g2 / (d2 - 0.01)  # bit for bit
+    xs = np.linspace(-0.04, 0.04, 101)
+    values = two_ball_derivative(xs, *args, order=0)
+    assert np.array_equal(values, -g1 / (d1 + xs) - g2 / (d2 - xs))
 
 
 def test_domain_errors():

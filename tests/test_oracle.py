@@ -7,6 +7,7 @@ acceptance suite.
 
 import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -131,6 +132,16 @@ def test_missing_kind_requirement_rejected():
     doc = TWO_BALL_DOC.replace("dist_right = 28.284271247461902", "")
     with pytest.raises(ConfigValidationError, match="dist_right"):
         parse_oracle_config(doc)
+
+
+def test_shipped_config_is_the_stock_geometry():
+    path = Path(__file__).resolve().parents[1] / "configs" / "oracle_two_ball.cfg"
+    stock = default_scaled_config()
+    lines = path.read_text().splitlines(keepends=True)
+    assert "".join(l for l in lines if not l.startswith("#")) == (
+        serialize_oracle_config(stock)
+    )
+    assert load_oracle_config(path) == stock
 
 
 def test_span_defaults_fill_in():

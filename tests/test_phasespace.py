@@ -52,11 +52,12 @@ def small_state(coherence, n=256, span=8.5):
     )
 
 
+# 64^2: the smallest grid that still resolves the fringe
+TINY_GRID = {"n_q": 64, "n_p": 64, "q_span": (-8.5, 8.5), "p_span": (-12.0, 12.0)}
+
+
 def tiny_state():
-    # 64^2: the smallest grid that still resolves the fringe
-    return wigner_from_two_packets(
-        DX, SIGMA, 0.4, n_q=64, n_p=64, q_span=(-8.5, 8.5), p_span=(-12.0, 12.0)
-    )
+    return wigner_from_two_packets(DX, SIGMA, 0.4, **TINY_GRID)
 
 
 def two_ball_field(q_axis, g1=705.0, d1=20.0, max_order=7):
@@ -115,18 +116,18 @@ def test_closed_form_matches_independent_expression():
 
 def test_overlapping_packets_rejected():
     with pytest.raises(NonOrthogonalPacketsError):
-        wigner_from_two_packets(1.0, 0.25, 0.5)  # overlap e^-2
+        wigner_from_two_packets(1.0, 0.25, 0.5, **TINY_GRID)  # overlap e^-2
 
 
 def test_too_small_span_rejected():
     with pytest.raises(GridError, match="span"):
-        wigner_from_two_packets(DX, SIGMA, 0.5, q_span=(-6.0, 6.0), n_q=64, n_p=64)
+        wigner_from_two_packets(DX, SIGMA, 0.5, **{**TINY_GRID, "q_span": (-6.0, 6.0)})
     # [-6, 6] fails the cover-[-dx, dx] rule for dx = 8
 
 
 def test_coherence_magnitude_capped():
     with pytest.raises(ValueError, match="coherence"):
-        wigner_from_two_packets(DX, SIGMA, 0.7)
+        wigner_from_two_packets(DX, SIGMA, 0.7, **TINY_GRID)
 
 
 def test_aliasing_momentum_grid_rejected():
