@@ -31,18 +31,12 @@ from .errors import (
     CoherenceGrowthWarning,
     ConfigParseError,
     ConfigValidationError,
-    DerivativeOrderError,
     DomainError,
-    FitConvergenceError,
     GravfringeError,
     GridError,
-    InstabilityError,
-    InsufficientSpanError,
-    IntegrationError,
-    NonOrthogonalPacketsError,
+    NumericalError,
     PositivityWarning,
     RecordError,
-    UnsupportedModelError,
 )
 from .gravity import (
     frequency_report,

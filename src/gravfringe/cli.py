@@ -8,11 +8,10 @@ rewrites the manifest with the produced file names.  Identical
 invocations, seed included, produce byte-identical data files; only the
 manifest timestamp varies.
 
-Exit status: 0 on success (for ``validate-oracle``, success includes
-the tolerance check passing), 2 for input problems (bad flags, bad
-documents, infeasible parameters), 3 for numerical failures (norm drift,
-non-convergence, arithmetic or linear-algebra breakdown, a failed
-validation).
+Exit status: 0 on success, which for ``validate-oracle`` includes the
+tolerance check passing, and 3 for a failed validation.  Every other
+status follows from the class of the exception that ended the run, by
+the rule stated in :mod:`gravfringe.errors`.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ import numpy as np
 from . import __version__
 from .config import (
     ExperimentConfig,
+    _MAX_ARRAY_SIZE,
     _parse_flat_document,
     _render_flat,
     _write_atomic,
@@ -37,13 +37,7 @@ from .config import (
     serialize_config,
     with_updates,
 )
-from .errors import (
-    ConfigValidationError,
-    FitConvergenceError,
-    GravfringeError,
-    InstabilityError,
-    IntegrationError,
-)
+from .errors import ConfigValidationError, GravfringeError, NumericalError
 from .fringe import fit_damped_fringe, read_record, synthesize_record, write_fit_result, write_record
 from .gravity import frequency_report, omega_classical, omega_quantum
 from .oracle import (
@@ -56,14 +50,6 @@ from .oracle import (
 from .twostate import ClassicalPoisson, GeneralLinear, Schrodinger, TilloyDiosi
 
 __all__ = ["main"]
-
-_NUMERICAL_ERRORS = (
-    IntegrationError,
-    InstabilityError,
-    FitConvergenceError,
-    ArithmeticError,
-    np.linalg.LinAlgError,
-)
 
 _SWEEP_FIELDS = {
     "d1": "dist_left",
@@ -331,10 +317,14 @@ def _model_from_flags(
 def _cmd_simulate(args: argparse.Namespace, out_dir: Path) -> int:
     if not 0.0 < args.duration < math.inf:
         raise ConfigValidationError("--duration must be positive and finite")
-    if args.samples < 2:
-        raise ConfigValidationError("--samples must be at least 2")
+    if not 2 <= args.samples <= _MAX_ARRAY_SIZE:
+        raise ConfigValidationError(
+            f"--samples must lie in 2..{_MAX_ARRAY_SIZE}, got {args.samples}"
+        )
     if not 0.0 <= args.noise_sd < math.inf:
         raise ConfigValidationError("--noise-sd must be non-negative and finite")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigValidationError(f"--seed must be non-negative, got {args.seed}")
     config = _resolve_experiment_config(args)
     model = _model_from_flags(args, config)
     options = {
@@ -363,8 +353,10 @@ def _cmd_simulate(args: argparse.Namespace, out_dir: Path) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace, out_dir: Path) -> int:
-    if args.steps <= 0:
-        raise ConfigValidationError("--steps must be positive")
+    if not 1 <= args.steps <= _MAX_ARRAY_SIZE:
+        raise ConfigValidationError(
+            f"--steps must lie in 1..{_MAX_ARRAY_SIZE}, got {args.steps}"
+        )
     for flag, value in (("--min", args.lo), ("--max", args.hi)):
         if not math.isfinite(value):
             raise ConfigValidationError(f"{flag} must be finite, got {value!r}")
@@ -471,13 +463,10 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         return _DISPATCH[args.subcommand](args, out_dir)
-    except _NUMERICAL_ERRORS as exc:
+    except (NumericalError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"gravfringe: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except GravfringeError as exc:
-        print(f"gravfringe: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GravfringeError, OSError, MemoryError) as exc:
         print(f"gravfringe: {exc}", file=sys.stderr)
         return 2
     except UnicodeDecodeError as exc:

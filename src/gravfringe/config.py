@@ -19,6 +19,7 @@ SI.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
@@ -35,6 +36,12 @@ __all__ = [
     "save_config",
     "cesium_tungsten_config",
 ]
+
+#: Largest element count that any array of the package may be asked for.
+#: Past it a complex array's byte count overflows the index type, and
+#: numpy raises ValueError or IndexError where a smaller impossible size
+#: raises MemoryError.
+_MAX_ARRAY_SIZE = sys.maxsize // 16
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,19 @@
 """Exception and warning types shared across the package.
 
-Everything raised deliberately by this package derives from
-:class:`GravfringeError`, split into two broad families that the command
-line maps onto distinct exit codes:
+The command line maps an exception to its exit status by class alone:
 
-* input problems (bad documents, bad parameters, unsupported
-  model/operation combinations) -- exit code 2;
-* numerical failures (integrator breakdown, norm drift, non-convergence)
-  -- exit code 3.
+* :class:`NumericalError`, ``ArithmeticError`` and
+  ``numpy.linalg.LinAlgError`` -- a numerical failure -- exit 3;
+* every other :class:`GravfringeError`, plus ``OSError`` (an unusable
+  path), ``UnicodeDecodeError`` (a file that is not UTF-8) and
+  ``MemoryError`` (a size that cannot be allocated) -- an input
+  problem -- exit 2.
+
+No input may end in a traceback (exit 1).  Library functions raise
+``ValueError`` or ``TypeError`` when a caller breaks an argument
+contract (a negative evolution time, an object that is no dynamics
+model); the command line checks its flags first, or re-raises such an
+error as a :class:`ConfigValidationError` naming the flag.
 
 Warnings signal degraded-but-usable results and never interrupt a
 computation.
@@ -20,22 +26,16 @@ __all__ = [
     "ConfigParseError",
     "ConfigValidationError",
     "DomainError",
-    "UnsupportedModelError",
     "GridError",
-    "NonOrthogonalPacketsError",
-    "DerivativeOrderError",
     "RecordError",
-    "InsufficientSpanError",
-    "IntegrationError",
-    "InstabilityError",
-    "FitConvergenceError",
+    "NumericalError",
     "PositivityWarning",
     "CoherenceGrowthWarning",
 ]
 
 
 class GravfringeError(Exception):
-    """Base class for all deliberate errors raised by this package."""
+    """Base class for the package's input and numerical errors."""
 
 
 # ---------------------------------------------------------------- inputs
@@ -50,8 +50,8 @@ class ConfigParseError(GravfringeError):
 
 class ConfigValidationError(GravfringeError):
     """A syntactically valid configuration violates a physical
-    invariant (overlapping bodies, non-positive mass, ...).  The message
-    names the violated invariant."""
+    invariant (overlapping bodies, non-positive mass, overlapping wave
+    packets, ...).  The message names the violated invariant."""
 
 
 class DomainError(GravfringeError):
@@ -60,53 +60,27 @@ class DomainError(GravfringeError):
     or beyond a source-mass centre, or a non-positive density."""
 
 
-class UnsupportedModelError(GravfringeError):
-    """The requested operation has no meaning for the given dynamics
-    model, e.g. a model object that is none of the supported laws."""
-
-
 class GridError(GravfringeError):
-    """A phase-space grid is unusable for the requested operation:
-    too small to contain the state, mismatched between operands, or a
+    """A phase-space grid or field is unusable for the requested
+    operation: too small to contain the state, mismatched between
+    operands, short of the potential derivatives a bracket needs, or a
     query point lies outside it."""
-
-
-class NonOrthogonalPacketsError(GravfringeError):
-    """The two wave packets overlap too strongly for the two-arm
-    description to apply (their inner product exceeds the orthogonality
-    threshold)."""
-
-
-class DerivativeOrderError(GravfringeError):
-    """A bracket expansion needs higher potential derivatives than the
-    Hamiltonian field carries."""
 
 
 class RecordError(GravfringeError):
     """A fringe record is unusable: missing required track, unsorted
-    times, or values inconsistent with its noise declaration."""
-
-
-class InsufficientSpanError(GravfringeError):
-    """A record is too short to constrain the fringe model (fewer than
-    two oscillation periods at the seeded frequency)."""
+    times, values inconsistent with its noise declaration, or too short
+    a span to constrain the fringe model."""
 
 
 # ----------------------------------------------------------- numerics
 
 
-class IntegrationError(GravfringeError):
-    """An ODE integrator failed to reach the requested time within its
-    tolerance (step-size underflow or internal failure)."""
-
-
-class InstabilityError(GravfringeError):
-    """A grid evolution stopped conserving its integral."""
-
-
-class FitConvergenceError(GravfringeError):
-    """The fringe fit optimiser failed to converge; the message carries
-    the optimiser diagnostics."""
+class NumericalError(GravfringeError):
+    """A computation on valid inputs broke down: an ODE integrator
+    failed to reach the requested time, a grid evolution stopped
+    conserving its integral, or the fringe fit did not converge.  The
+    message carries the diagnostics."""
 
 
 # ----------------------------------------------------------- warnings

@@ -30,12 +30,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .config import _check_keys, _parse_flat_document, _render_flat, _write_atomic
-from .errors import (
-    ConfigParseError,
-    FitConvergenceError,
-    InsufficientSpanError,
-    RecordError,
-)
+from .errors import ConfigParseError, NumericalError, RecordError
 from .twostate import (
     PLUS_STATE,
     DynamicsModel,
@@ -362,9 +357,9 @@ def fit_damped_fringe(
     growth pins the estimate at zero and sets ``lambda_at_bound``.
 
     Raises ``ValueError`` unless ``tolerance`` is finite and above
-    machine epsilon, :class:`InsufficientSpanError` when the record
-    covers fewer than two periods at the seeded frequency, and
-    :class:`FitConvergenceError` when the optimiser fails.
+    machine epsilon, :class:`RecordError` when the record covers fewer
+    than two periods at the seeded frequency, and
+    :class:`NumericalError` when the optimiser fails.
     """
     if not np.finfo(float).eps < tolerance < math.inf:
         raise ValueError(
@@ -379,10 +374,10 @@ def fit_damped_fringe(
     rotated = (signal - signal.mean()) * np.exp(-1j * omega0 * times)
     phase0 = float(-np.angle(np.mean(rotated)))
     if omega0 <= 0.0:
-        raise InsufficientSpanError("periodogram found no positive frequency")
+        raise RecordError("periodogram found no positive frequency")
     periods = record.span * omega0 / (2.0 * math.pi)
     if periods < 2.0:
-        raise InsufficientSpanError(
+        raise RecordError(
             f"record spans {periods:.2f} fringe periods at the seed frequency; "
             "at least 2 are needed to separate decay from frequency"
         )
@@ -401,7 +396,7 @@ def fit_damped_fringe(
         gtol=tolerance,
     )
     if not result.success:
-        raise FitConvergenceError(
+        raise NumericalError(
             f"fringe fit did not converge (status {result.status}): "
             f"{result.message}"
         )

@@ -66,14 +66,15 @@ def _check_domain(x, d1: float, d2: float):
 def two_ball_derivative(x, g1: float, g2: float, d1: float, d2: float, order: int = 1):
     """``order``-th spatial derivative of the two-ball potential.
 
-    Closed form for any order >= 0; ``order=0`` is the potential energy
-    -g1/(d1+x) - g2/(d2-x) itself.  ``x`` may be a scalar or an array;
-    the return matches.  Positions at or beyond a ball centre raise
+    Closed form for orders 0..170, since 171! is past the largest float;
+    any other order raises ``ValueError``.  ``order=0`` is the potential
+    energy -g1/(d1+x) - g2/(d2-x) itself.  ``x`` may be a scalar or an
+    array; the return matches.  Positions at or beyond a ball centre raise
     :class:`DomainError` (the potential diverges there and the point
     particle model has already failed at the ball surface).
     """
-    if order < 0:
-        raise ValueError("derivative order must be non-negative")
+    if not 0 <= order <= 170:
+        raise ValueError(f"derivative order must lie in 0..170, got {order!r}")
     xv = _check_domain(x, d1, d2)
     k = order
     sign = -1.0 if k % 2 else 1.0  # (-1)^k

@@ -23,7 +23,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import _check_keys, _parse_flat_document, _render_flat, _write_atomic
+from .config import (
+    _MAX_ARRAY_SIZE,
+    _check_keys,
+    _parse_flat_document,
+    _render_flat,
+    _write_atomic,
+)
 from .errors import ConfigParseError, ConfigValidationError
 from .gravity import two_ball_derivative
 from .phasespace import (
@@ -55,7 +61,14 @@ INITIAL_COHERENCE = 0.5
 
 _TWO_BALL_KEYS = ("coupling_left", "coupling_right", "dist_left", "dist_right")
 _QUADRATIC_KEYS = ("quad_curvature", "quad_slope")
-_INT_KEYS = ("n_q", "n_p", "n_max", "n_snapshots")
+#: Allowed range of each integer key.  n_max stops at 84 because the
+#: generator divides by (2 n_max + 1)!, and 171! is past the largest float.
+_INT_RANGES = {
+    "n_q": (8, _MAX_ARRAY_SIZE),
+    "n_p": (8, _MAX_ARRAY_SIZE),
+    "n_max": (0, 84),
+    "n_snapshots": (3, _MAX_ARRAY_SIZE),
+}
 _SPAN_KEYS = ("q_lo", "q_hi", "p_lo", "p_hi")
 
 
@@ -110,18 +123,14 @@ class OracleConfig:
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and value > 0.0):
                 raise ConfigValidationError(f"{name} must be positive, got {value!r}")
-        for name in _INT_KEYS:
+        for name, (low, high) in _INT_RANGES.items():
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigValidationError(f"{name} must be an integer")
-        if self.n_q < 8 or self.n_p < 8:
-            raise ConfigValidationError("n_q and n_p must be at least 8")
-        if self.n_max < 0:
-            raise ConfigValidationError("n_max must be non-negative")
-        if self.n_snapshots < 3:
-            raise ConfigValidationError(
-                "n_snapshots must be at least 3 to fit a phase slope"
-            )
+            if not low <= value <= high:
+                raise ConfigValidationError(
+                    f"{name!r} must lie in {low}..{high}, got {value!r}"
+                )
         if self.potential == TWO_BALL:
             required, forbidden = _TWO_BALL_KEYS, _QUADRATIC_KEYS
         else:
@@ -276,7 +285,7 @@ def parse_oracle_config(text: str) -> OracleConfig:
     """
     values = _parse_flat_document(text, "oracle config", text_keys={"potential"})
     _check_keys(values, "oracle config", _ALL_KEYS, _REQUIRED_KEYS)
-    for key in _INT_KEYS:
+    for key in _INT_RANGES:
         if key in values:
             if not values[key].is_integer():
                 raise ConfigParseError(f"oracle config key {key!r} must be an integer")

@@ -60,13 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DerivativeOrderError,
-    DomainError,
-    GridError,
-    InstabilityError,
-    NonOrthogonalPacketsError,
-)
+from .errors import ConfigValidationError, DomainError, GridError, NumericalError
 from .gravity import two_ball_derivative
 
 __all__ = [
@@ -197,7 +191,7 @@ class HamiltonianField:
 
     def derivative(self, order: int) -> np.ndarray:
         if not 1 <= order <= self.max_order:
-            raise DerivativeOrderError(
+            raise GridError(
                 f"V^({order}) requested but the field carries orders "
                 f"1..{self.max_order}"
             )
@@ -290,7 +284,9 @@ def wigner_from_two_packets(
     must cover [-dx, dx], the p spacing must resolve the fringe
     wavevector dx/hbar at or above its Nyquist rate (a coarser grid
     would hold a silently aliased fringe), and the sampled grid must
-    integrate to 1 within 1e-6; each failure is a distinct error.
+    integrate to 1 within 1e-6.  Overlapping arms raise
+    :class:`ConfigValidationError`; each other failure raises a
+    :class:`GridError` that names it.
     """
     dx = float(arm_separation)
     sigma = float(packet_width)
@@ -298,7 +294,7 @@ def wigner_from_two_packets(
         raise ValueError("arm_separation, packet_width, hbar must be positive")
     overlap = math.exp(-(dx * dx) / (8.0 * sigma * sigma))
     if overlap > _ORTHOGONALITY_THRESHOLD:
-        raise NonOrthogonalPacketsError(
+        raise ConfigValidationError(
             f"arm overlap <L|R> = {overlap:.3g} exceeds "
             f"{_ORTHOGONALITY_THRESHOLD}; the two-arm description needs "
             "separated packets (increase arm_separation/packet_width)"
@@ -385,13 +381,13 @@ def _generator(
     the truncated expansion of [V(q + hbar k/2) - V(q - hbar k/2)] / hbar.
     Corrections whose potential derivative vanishes add exact zeros,
     so for quadratic potentials every order returns the n_max = 0
-    array bit for bit.  Raises :class:`DerivativeOrderError` if the
-    field does not carry V^(2 n_max + 1).
+    array bit for bit.  Raises :class:`GridError` if the field does not
+    carry V^(2 n_max + 1).
     """
     _require_aligned(h, w)
     o = _as_order(order)
     if o.highest_derivative > h.max_order:
-        raise DerivativeOrderError(
+        raise GridError(
             f"n_max={o.n_max} needs V^({o.highest_derivative}) but the "
             f"field carries orders 1..{h.max_order}"
         )
@@ -474,7 +470,7 @@ def evolve_wigner(
       potential step; the splitting error over a fixed time is O(dt^2).
 
     A final probability drift beyond 1e-5 raises
-    :class:`InstabilityError`.
+    :class:`NumericalError`.
     """
     _require_aligned(h, w)
     if t < 0.0:
@@ -501,7 +497,7 @@ def evolve_wigner(
     out = WignerGrid(w.q_axis, w.p_axis, values, hbar=w.hbar, time=w.time + t)
     drift = abs(out.norm() - w.norm())
     if not drift <= _EVOLUTION_NORM_SLACK:
-        raise InstabilityError(
+        raise NumericalError(
             f"evolution stopped conserving probability (drift {drift:.3g})"
         )
     return out

@@ -57,12 +57,7 @@ from typing import Union
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import (
-    CoherenceGrowthWarning,
-    IntegrationError,
-    PositivityWarning,
-    UnsupportedModelError,
-)
+from .errors import CoherenceGrowthWarning, NumericalError, PositivityWarning
 
 __all__ = [
     "TwoLevelState",
@@ -187,7 +182,7 @@ def _as_general(model: DynamicsModel) -> GeneralLinear:
         return GeneralLinear(0.0j, complex(-model.lam, model.omega_g), 0.0j)
     if isinstance(model, GeneralLinear):
         return model
-    raise UnsupportedModelError(f"unknown dynamics model {model!r}")
+    raise TypeError(f"unknown dynamics model {model!r}")
 
 
 def coherence_matrix(model: DynamicsModel) -> np.ndarray:
@@ -251,7 +246,7 @@ def trajectory(
     ``tolerance`` (must lie in (0, 1e-3]).  ``times`` must be
     non-negative and non-decreasing.  Returns arrays
     ``(rho_ll, rho_lr)`` aligned with ``times``.  Raises
-    :class:`IntegrationError` if the integrator cannot reach the last
+    :class:`NumericalError` if the integrator cannot reach the last
     time; emits one :class:`PositivityWarning` when a sampled state
     drifts outside the physical set by more than the tolerance allows.
     """
@@ -275,7 +270,7 @@ def trajectory(
             t_eval=ts,
         )
         if not sol.success:
-            raise IntegrationError(
+            raise NumericalError(
                 f"integrator failed before reaching t={ts[-1]!r}: {sol.message}"
             )
         y = sol.y
@@ -388,4 +383,4 @@ def model_descriptor(model: DynamicsModel) -> str:
             f"general(a_lr={model.a_lr!r};b_lr={model.b_lr!r};"
             f"b_rl={model.b_rl!r})"
         )
-    raise UnsupportedModelError(f"unknown dynamics model {model!r}")
+    raise TypeError(f"unknown dynamics model {model!r}")

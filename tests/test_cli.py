@@ -7,13 +7,18 @@ outputs are observable without subprocess overhead.
 import dataclasses
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gravfringe import cli
 from gravfringe.cli import main
 from gravfringe.config import cesium_tungsten_config, save_config, serialize_config
+from gravfringe.errors import GravfringeError, NumericalError
 from gravfringe.fringe import read_fit_result, read_record
 from gravfringe.oracle import load_oracle_config, serialize_oracle_config
 
@@ -424,6 +429,8 @@ def test_fit_tolerance_at_or_below_machine_epsilon_exits_2(
         (["--model", "schrodinger", "--omega-q", "nan"], "--omega-q"),
         (["--model", "general", "--a-lr", "0.1", "--b-lr=infj"], "--b-lr"),
         (["--model", "schrodinger", "--noise-sd", "inf"], "--noise-sd"),
+        (["--model", "schrodinger", "--samples", "3", "--noise-sd", "0.1",
+          "--seed=-5"], "--seed"),
     ],
 )
 def test_simulate_invalid_model_value_exits_2(tmp_path, capsys, flags, named):
@@ -548,9 +555,12 @@ def test_flag_the_subcommand_does_not_read_exits_2(
         (["simulate", "--model", "schrodinger", "--duration", "10"],
          "cesium_tungsten.cfg", "particle_mass_amu", "inf"),
         (["frequencies"], "cesium_tungsten.cfg", "particle_mass_amu", "inf"),
+        # the generator divides by (2 n_max + 1)!, past the largest float
+        (["validate-oracle"], "oracle_two_ball.cfg", "n_max", "85"),
     ],
     ids=["quad_slope", "quad_curvature", "coupling_left", "dist_right", "hbar",
-         "simulate-particle_mass_amu", "frequencies-particle_mass_amu"],
+         "simulate-particle_mass_amu", "frequencies-particle_mass_amu",
+         "n_max-above-84"],
 )
 def test_non_finite_config_value_exits_2_naming_it(
     tmp_path, capsys, argv, name, key, value
@@ -580,6 +590,202 @@ def test_numerical_breakdown_exits_3(tmp_path, capsys, key, value, message):
     assert code == 3
     err = capsys.readouterr().err
     assert "numerical failure" in err and message in err
+
+
+SWEEP_STEPS = ["sweep", "--parameter", "d2", "--min", "0.06", "--max", "0.11",
+               "--steps", "{size}"]
+SIMULATE_SAMPLES = ["simulate", "--model", "schrodinger", "--duration", "10",
+                    "--samples", "{size}"]
+
+
+@pytest.mark.parametrize(
+    "argv, key, size, named",
+    [
+        (SWEEP_STEPS, None, 10**17, "shape (100000000000000000,)"),
+        (SIMULATE_SAMPLES, None, 10**17, "shape (100000000000000000,)"),
+        ([], "n_q", 10**15, "shape (1000000000000000,)"),
+        (SWEEP_STEPS, None, 2**62, "--steps"),
+        (SIMULATE_SAMPLES, None, 2**62, "--samples"),
+        ([], "n_p", 2**62, "'n_p'"),
+    ],
+    ids=["sweep-steps", "simulate-samples", "oracle-n_q", "sweep-steps-2**62",
+         "simulate-samples-2**62", "oracle-n_p-2**62"],
+)
+def test_unallocatable_size_exits_2_naming_it(
+    tmp_path, capsys, argv, key, size, named
+):
+    # numpy refuses these sizes without touching memory: up to 2**59 - 1
+    # elements with a MemoryError naming the array's shape, beyond with a
+    # ValueError that a range check preempts by naming the input.  Sizes
+    # of 1e6 to 1e13 elements would allocate and must not be tried here.
+    if key is not None:
+        path = config_with(tmp_path, "oracle_quadratic.cfg", key, str(size))
+        argv = ["validate-oracle", "--config", str(path)]
+    argv = [arg.format(size=size) for arg in argv]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert named in capsys.readouterr().err
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+@pytest.mark.parametrize(
+    "error",
+    [GravfringeError, *_subclasses(GravfringeError), ArithmeticError,
+     np.linalg.LinAlgError, OSError, MemoryError],
+    ids=lambda error: error.__name__,
+)
+def test_exit_code_follows_from_the_class(tmp_path, capsys, monkeypatch, error):
+    def fail(args, out_dir):
+        raise error("injected")
+
+    monkeypatch.setitem(cli._DISPATCH, "frequencies", fail)
+    numerical = issubclass(error, (NumericalError, ArithmeticError,
+                                   np.linalg.LinAlgError))
+    assert main(["frequencies", "--out", str(tmp_path)]) == (3 if numerical else 2)
+    assert "injected" in capsys.readouterr().err
+
+
+# Sizes stay small (n_q, n_p <= 64, n_snapshots <= 9, samples <= 400,
+# steps <= 50) or absurd (1e15 to 1e30 elements): a range check refuses
+# such a size, or its first array exceeds the 48-bit address space and
+# numpy refuses it without touching memory.  Sizes of 1e6 to 1e13
+# elements would allocate and are never generated.
+ABSURD = st.integers(10**15, 10**30)
+
+
+def usually(valid, wild):
+    """``valid`` three draws in four, ``wild`` otherwise."""
+    return st.integers(0, 3).flatmap(lambda i: wild if i == 3 else valid)
+
+
+FLOATS = usually(st.floats(-1.0, 1.0), st.floats())
+FLAG_VALUES = {
+    "--duration": usually(st.floats(1.0, 200.0), st.floats()),
+    "--samples": usually(st.integers(2, 400), st.one_of(st.integers(-1, 1), ABSURD)),
+    "--noise-sd": usually(st.floats(0.0, 0.1), st.floats()),
+    "--seed": usually(st.integers(0, 2**70), st.integers(-(2**70), -1)),
+    **dict.fromkeys(["--omega-q", "--omega-c", "--lambda", "--omega-g"], FLOATS),
+    **dict.fromkeys(["--a-lr", "--b-lr", "--b-rl"], usually(
+        st.complex_numbers(max_magnitude=1.0), st.complex_numbers())),
+    **dict.fromkeys(["--min", "--max"], usually(st.floats(0.0, 1.0), st.floats())),
+    "--steps": usually(st.integers(1, 50), st.one_of(st.integers(-1, 0), ABSURD)),
+    "--tolerance": usually(st.floats(1e-12, 0.5), st.floats()),
+}
+MODEL_FLAGS = {
+    "schrodinger": ["--omega-q"],
+    "classical": ["--omega-c"],
+    "tilloy-diosi": ["--lambda", "--omega-g"],
+    "general": ["--a-lr", "--b-lr", "--b-rl"],
+}
+
+
+def flat(text):
+    return dict(
+        line.split(" = ") for line in text.splitlines()
+        if line and not line.startswith("#")
+    )
+
+
+EXPERIMENT = flat((CONFIGS / "cesium_tungsten.cfg").read_text())
+SMALL_ORACLES = [
+    {**flat(text), "arm_separation": "4.0", "packet_width": "0.35", "n_q": "64",
+     "n_p": "64", "q_lo": "-4.25", "q_hi": "4.25", "p_lo": "-12.0", "p_hi": "12.0"}
+    for text in (QUADRATIC_ORACLE_DOC, (CONFIGS / "oracle_two_ball.cfg").read_text())
+]
+ORACLE_VALUES = {
+    "potential": st.sampled_from(["quadratic", "two_ball", "cubic"]),
+    **dict.fromkeys(["n_q", "n_p"], usually(st.integers(8, 64),
+                                            st.one_of(st.integers(-1, 7), ABSURD))),
+    "n_max": st.integers(-1, 200),
+    "n_snapshots": usually(st.integers(3, 9), st.one_of(st.integers(0, 2), ABSURD)),
+    **dict.fromkeys(
+        ["arm_separation", "packet_width", "hbar", "mass", "hold_time", "quad_slope",
+         "quad_curvature", "coupling_left", "coupling_right", "dist_left",
+         "dist_right", "q_lo", "q_hi", "p_lo", "p_hi"],
+        usually(st.floats(-100.0, 100.0), st.floats())),
+}
+
+
+@st.composite
+def documents(draw, base, values):
+    """``base`` with up to two values replaced, maybe a key dropped or added."""
+    doc = dict(base)
+    for key in draw(st.sets(st.sampled_from(sorted(values)), max_size=2)):
+        doc[key] = draw(values[key])
+    change = draw(st.sampled_from(["none", "none", "none", "drop", "unknown"]))
+    if change == "drop":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif change == "unknown":
+        doc["bogus"] = 1.0
+    return "".join(f"{key} = {value}\n" for key, value in doc.items())
+
+
+@st.composite
+def runs(draw):
+    """(argv, config document or None, fit flags or None) of one run."""
+    subcommand = draw(st.sampled_from(
+        ["frequencies", "simulate", "sweep", "validate-oracle", "fit"]))
+    doc = None
+    if subcommand == "validate-oracle":
+        doc = draw(documents(draw(st.sampled_from(SMALL_ORACLES)), ORACLE_VALUES))
+    elif subcommand != "fit" and draw(st.booleans()):
+        doc = draw(documents(EXPERIMENT, dict.fromkeys(
+            EXPERIMENT, usually(st.floats(0.0, 1.0), st.floats()))))
+    if subcommand in ("simulate", "fit"):
+        model = draw(st.sampled_from(sorted(MODEL_FLAGS)))
+        argv = ["simulate", "--model", model]
+        # the model's own flags, maybe one meant for another model
+        stray = st.sampled_from([name for names in MODEL_FLAGS.values()
+                                 for name in names])
+        names = ["--duration", *MODEL_FLAGS[model],
+                 *draw(st.sets(st.sampled_from(["--samples", "--noise-sd", "--seed"]))),
+                 *draw(usually(st.just([]), stray.map(lambda name: [name])))]
+    elif subcommand == "sweep":
+        parameter = draw(st.sampled_from(sorted(cli._SWEEP_FIELDS)))
+        argv = ["sweep", "--parameter", parameter]
+        names = ["--min", "--max", "--steps"]
+    elif subcommand == "validate-oracle":
+        argv = [subcommand]
+        names = draw(st.sets(st.just("--tolerance")))
+    else:
+        argv, names = [subcommand], []
+    argv += [f"{name}={draw(FLAG_VALUES[name])}" for name in names]
+    fit = None
+    if subcommand == "fit":
+        # the record, maybe with one sample replaced and the rest cut
+        edit = st.tuples(st.integers(2, 401), usually(st.floats(0.0, 1.0), st.floats()))
+        tolerance = draw(st.sets(st.just("--tolerance")))
+        fit = ([f"--tolerance={draw(FLAG_VALUES['--tolerance'])}" for _ in tolerance],
+               draw(usually(st.none(), edit)))
+    return argv, doc, fit
+
+
+@settings(max_examples=300, deadline=None)
+@given(runs())
+def test_no_input_ends_in_a_traceback(run):
+    argv, doc, fit = run
+    with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"):
+        tmp = Path(tmp)
+        if doc is not None:
+            (tmp / "doc.cfg").write_text(doc)
+            argv = [*argv, "--config", str(tmp / "doc.cfg")]
+        code = main([*argv, "--out", str(tmp / "out")])
+        assert code in (0, 2, 3)
+        if fit is not None and code == 0:
+            tolerance, edit = fit
+            record = tmp / "out" / "record.csv"
+            if edit is not None:
+                lines = record.read_text().splitlines()
+                row, value = edit
+                if row < len(lines):
+                    lines[row] = f"{lines[row].split(',')[0]},{value}"
+                record.write_text("\n".join(lines[: row + 2]) + "\n")
+            code = main(["fit", str(record), *tolerance, "--out", str(tmp / "fit")])
+            assert code in (0, 2, 3)
 
 
 # ---------------------------------------------------------------- manifest

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gravfringe.errors import ConfigParseError, InsufficientSpanError, RecordError
+from gravfringe.errors import ConfigParseError, RecordError
 from gravfringe.fringe import (
     FitResult,
     FringeRecord,
@@ -240,7 +240,7 @@ def test_fit_covariance_psd():
 def test_fit_short_record_raises():
     ts = np.linspace(0, 20, 60)  # ~0.7 periods at omega = 0.22
     rec = synthesize_record(Schrodinger(0.22), ts)
-    with pytest.raises(InsufficientSpanError, match="period"):
+    with pytest.raises(RecordError, match="fringe periods"):
         fit_damped_fringe(rec)
 
 

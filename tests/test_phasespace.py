@@ -12,12 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gravfringe.errors import (
-    DerivativeOrderError,
-    DomainError,
-    GridError,
-    NonOrthogonalPacketsError,
-)
+from gravfringe.errors import ConfigValidationError, DomainError, GridError
 from gravfringe.phasespace import (
     BracketOrder,
     HamiltonianField,
@@ -115,7 +110,7 @@ def test_closed_form_matches_independent_expression():
 
 
 def test_overlapping_packets_rejected():
-    with pytest.raises(NonOrthogonalPacketsError):
+    with pytest.raises(ConfigValidationError, match="arm overlap"):
         wigner_from_two_packets(1.0, 0.25, 0.5, **TINY_GRID)  # overlap e^-2
 
 
@@ -207,7 +202,7 @@ def test_insufficient_derivative_order():
     w = small_state(0.3)
     h = two_ball_field(w.q_axis, max_order=3)
     moyal_bracket(h, w, BracketOrder(1))  # needs V^(3): fine
-    with pytest.raises(DerivativeOrderError, match=r"V\^\(5\)"):
+    with pytest.raises(GridError, match=r"V\^\(5\)"):
         moyal_bracket(h, w, BracketOrder(2))
 
 
