@@ -19,12 +19,10 @@ instead of formulas (:mod:`gravfringe.phasespace`,
 
 from .config import (
     ExperimentConfig,
-    PhysicalConstants,
     ball_radius,
     cesium_tungsten_config,
     load_config,
     parse_config,
-    save_config,
     serialize_config,
 )
 from .errors import (
@@ -61,7 +59,6 @@ from .oracle import (
     load_oracle_config,
     parse_oracle_config,
     run_validation,
-    save_oracle_config,
 )
 from .phasespace import (
     BracketOrder,

@@ -192,10 +192,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="estimate damped-fringe parameters from a record file",
     )
     fit.add_argument("record", metavar="RECORD_CSV", help="record file to fit")
-    fit.add_argument(
-        "--tolerance", type=float, default=None, metavar="FLOAT",
-        help="least-squares convergence tolerance (default: the fitter's 1e-12)",
-    )
 
     return parser
 
@@ -397,6 +393,10 @@ def _cmd_sweep(args: argparse.Namespace, out_dir: Path) -> int:
 
 
 def _cmd_validate_oracle(args: argparse.Namespace, out_dir: Path) -> int:
+    if not 0.0 < args.tolerance < math.inf:
+        raise ConfigValidationError(
+            f"--tolerance must be positive and finite, got {args.tolerance!r}"
+        )
     if args.config is None:
         config = default_scaled_config()
     else:
@@ -423,7 +423,7 @@ def _cmd_validate_oracle(args: argparse.Namespace, out_dir: Path) -> int:
 
 def _cmd_fit(args: argparse.Namespace, out_dir: Path) -> int:
     record = read_record(args.record)
-    options = {"record": str(args.record), "tolerance": args.tolerance}
+    options = {"record": str(args.record)}
     config_echo = {
         "model": record.model,
         "seed": record.seed,
@@ -431,13 +431,7 @@ def _cmd_fit(args: argparse.Namespace, out_dir: Path) -> int:
         "n_samples": record.times.size,
     }
     manifest = _Manifest(out_dir, "fit", config_echo, None, options)
-    if args.tolerance is None:
-        fit = fit_damped_fringe(record)
-    else:
-        try:
-            fit = fit_damped_fringe(record, tolerance=args.tolerance)
-        except ValueError as exc:
-            raise ConfigValidationError(f"--tolerance: {exc}") from None
+    fit = fit_damped_fringe(record)
     write_fit_result(fit, out_dir / "fit.txt")
     manifest.finalize("fit.txt")
     print((out_dir / "fit.txt").read_text(encoding="utf-8"), end="")

@@ -1,4 +1,4 @@
-"""Experiment configuration: physical constants, geometry, and I/O.
+"""Experiment configuration: geometry, physical constants, and I/O.
 
 A configuration describes one interferometer setup: a particle of mass
 ``m`` held in a superposition of two arms separated by ``arm_separation``,
@@ -13,7 +13,8 @@ missing required keys, and values that are not finite numbers are all
 named errors, so a typo cannot silently fall back to a default.  The
 probe mass is kept in atomic mass units, in the document and in memory
 alike, so a configuration reloads bit for bit; every other quantity is
-SI.
+SI.  The physical constants are the module constants :data:`G`,
+:data:`HBAR` and :data:`AMU` (CODATA 2018), not configuration values.
 """
 
 from __future__ import annotations
@@ -21,53 +22,32 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Iterable
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ConfigParseError, ConfigValidationError, DomainError
 
 __all__ = [
-    "PhysicalConstants",
     "ExperimentConfig",
     "ball_radius",
     "parse_config",
     "load_config",
     "serialize_config",
-    "save_config",
     "cesium_tungsten_config",
 ]
+
+#: Gravitational constant, m^3 kg^-1 s^-2 (CODATA 2018).
+G = 6.67430e-11
+#: Reduced Planck constant, J s (CODATA 2018).
+HBAR = 1.054571817e-34
+#: Atomic mass unit, kg (CODATA 2018).
+AMU = 1.66053906660e-27
 
 #: Largest element count that any array of the package may be asked for.
 #: Past it a complex array's byte count overflows the index type, and
 #: numpy raises ValueError or IndexError where a smaller impossible size
 #: raises MemoryError.
 _MAX_ARRAY_SIZE = sys.maxsize // 16
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Fundamental constants in SI units.
-
-    Defaults are the 2018 CODATA recommended values.  They can be
-    overridden through the optional configuration keys (for sensitivity
-    studies) but are otherwise fixed.
-    """
-
-    G: float = 6.67430e-11  # gravitational constant, m^3 kg^-1 s^-2
-    hbar: float = 1.054571817e-34  # reduced Planck constant, J s
-    amu: float = 1.66053906660e-27  # atomic mass unit, kg
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ConfigValidationError(
-                    f"physical constant {f.name} must be finite"
-                )
-            if not value > 0.0:
-                raise ConfigValidationError(
-                    f"physical constant {f.name} must be strictly positive"
-                )
 
 
 @dataclass(frozen=True)
@@ -78,6 +58,8 @@ class ExperimentConfig:
 
     * every float field is finite,
     * all masses, distances and the density are strictly positive,
+    * every length (``arm_separation``, ``dist_left``, ``dist_right``)
+      has a finite cube, so no frequency formula overflows,
     * ``hold_time`` is non-negative,
     * each ball centre lies outside the superposition span and the ball
       surface clears the nearer arm (no overlap between a source ball
@@ -92,12 +74,9 @@ class ExperimentConfig:
     dist_right: float  # m, midpoint to right ball centre
     source_density: float = 19300.0  # kg/m^3, tungsten by default
     hold_time: float = 60.0  # s
-    constants: PhysicalConstants = field(default_factory=PhysicalConstants)
 
     def __post_init__(self) -> None:
-        values = [
-            (f.name, getattr(self, f.name)) for f in fields(self) if f.name != "constants"
-        ]
+        values = [(f.name, getattr(self, f.name)) for f in fields(self)]
         for name, value in values:
             if not math.isfinite(value):
                 raise ConfigValidationError(f"{name} must be finite")
@@ -106,6 +85,14 @@ class ExperimentConfig:
                 raise ConfigValidationError(f"{name} must be strictly positive")
         if not self.hold_time >= 0.0:
             raise ConfigValidationError("hold_time must be non-negative")
+        for name in ("arm_separation", "dist_left", "dist_right"):
+            value = getattr(self, name)
+            # a product overflows to inf, where float ** raises
+            if not math.isfinite(value * value * value):
+                raise ConfigValidationError(
+                    f"{name} = {value!r} m is too large: its cube is not a "
+                    "finite float"
+                )
         half = self.arm_separation / 2.0
         for side, dist, mass in (
             ("left", self.dist_left, self.mass_left),
@@ -122,7 +109,7 @@ class ExperimentConfig:
     @property
     def particle_mass(self) -> float:
         """Probe mass, kg."""
-        return self.particle_mass_amu * self.constants.amu
+        return self.particle_mass_amu * AMU
 
     @property
     def radius_left(self) -> float:
@@ -161,17 +148,8 @@ _FIELD_KEYS = {
     "source_density": "source_density_kg_m3",
     "hold_time": "hold_time_s",
 }
-#: Document key of each ``PhysicalConstants`` field, in document order.
-_CONSTANT_KEYS = {
-    "G": "gravitational_constant_si",
-    "hbar": "hbar_js",
-    "amu": "atomic_mass_unit_kg",
-}
-_ALL_KEYS = (*_FIELD_KEYS.values(), *_CONSTANT_KEYS.values())
 _REQUIRED_KEYS = tuple(
-    _FIELD_KEYS[f.name]
-    for f in fields(ExperimentConfig)
-    if f.default is MISSING and f.default_factory is MISSING
+    _FIELD_KEYS[f.name] for f in fields(ExperimentConfig) if f.default is MISSING
 )
 
 
@@ -285,13 +263,10 @@ def parse_config(text: str) -> ExperimentConfig:
     :class:`ConfigValidationError`.
     """
     values = _parse_flat_document(text, "config")
-    _check_keys(values, "config", _ALL_KEYS, _REQUIRED_KEYS)
-
-    def present(keys: dict[str, str]) -> dict[str, float | str]:
-        return {name: values[key] for name, key in keys.items() if key in values}
-
-    constants = PhysicalConstants(**present(_CONSTANT_KEYS))
-    return ExperimentConfig(**present(_FIELD_KEYS), constants=constants)
+    _check_keys(values, "config", _FIELD_KEYS.values(), _REQUIRED_KEYS)
+    return ExperimentConfig(
+        **{name: values[key] for name, key in _FIELD_KEYS.items() if key in values}
+    )
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -303,22 +278,10 @@ def serialize_config(config: ExperimentConfig) -> str:
     """Render a configuration as a document that reloads identically.
 
     ``load_config`` of the result reproduces ``config`` exactly: every
-    value is written as stored, and constants left at their defaults
-    are omitted.
+    value is written as stored.
     """
-    constants = config.constants
     pairs = [(key, getattr(config, name)) for name, key in _FIELD_KEYS.items()]
-    pairs += [
-        (key, getattr(constants, name))
-        for name, key in _CONSTANT_KEYS.items()
-        if getattr(constants, name) != getattr(PhysicalConstants, name)
-    ]
     return "# interferometer configuration\n" + _render_flat(pairs)
-
-
-def save_config(config: ExperimentConfig, path: str | Path) -> None:
-    """Write a configuration document to ``path``."""
-    _write_atomic(path, serialize_config(config))
 
 
 def cesium_tungsten_config() -> ExperimentConfig:

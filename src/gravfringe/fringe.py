@@ -59,8 +59,9 @@ class FringeRecord:
     the generating model moves populations, i.e. the general linear
     model.  ``model`` is a short descriptor string recorded for
     provenance; ``noise_sd`` is the standard deviation of the additive
-    Gaussian noise (0 for noiseless records) and ``seed`` the generator
-    seed actually used (None for noiseless records).
+    Gaussian noise (finite and non-negative, 0 for noiseless records) and
+    ``seed`` the generator seed actually used (None for noiseless
+    records).
     """
 
     times: np.ndarray
@@ -107,6 +108,11 @@ class FringeRecord:
             raise RecordError(
                 f"record model {self.model!r} does not encode as UTF-8"
             ) from None
+        if not 0.0 <= self.noise_sd < math.inf:
+            raise RecordError(
+                f"record noise_sd must be finite and non-negative, got "
+                f"{self.noise_sd!r}"
+            )
         if self.noise_sd == 0.0:
             # a noiseless signal is a probability
             if np.any(signal < -1e-9) or np.any(signal > 1.0 + 1e-9):
@@ -344,10 +350,11 @@ def _envelope_seed(
     return lam0, contrast0
 
 
-def fit_damped_fringe(
-    record: FringeRecord,
-    tolerance: float = 1e-12,
-) -> FitResult:
+#: ``xtol``, ``ftol`` and ``gtol`` of the least-squares fit.
+_FIT_TOLERANCE = 1e-12
+
+
+def fit_damped_fringe(record: FringeRecord) -> FitResult:
     """Estimate (lambda, omega, contrast, phase) from a record.
 
     The model is S(t) = 1/2 + (C/2) e^{-lambda t} cos(omega t + phi).
@@ -356,16 +363,11 @@ def fit_damped_fringe(
     Bounded least squares keeps lambda >= 0; a record preferring
     growth pins the estimate at zero and sets ``lambda_at_bound``.
 
-    Raises ``ValueError`` unless ``tolerance`` is finite and above
-    machine epsilon, :class:`RecordError` when the record covers fewer
-    than two periods at the seeded frequency, and
-    :class:`NumericalError` when the optimiser fails.
+    The optimiser converges to a relative tolerance of 1e-12.  Raises
+    :class:`RecordError` when the record covers fewer than two periods
+    at the seeded frequency, and :class:`NumericalError` when the
+    optimiser fails.
     """
-    if not np.finfo(float).eps < tolerance < math.inf:
-        raise ValueError(
-            f"tolerance must be finite and above machine epsilon "
-            f"{np.finfo(float).eps:.3g}, got {tolerance!r}"
-        )
     times = record.times
     signal = record.signal
     omega0 = _periodogram_peak(times, signal)
@@ -391,9 +393,9 @@ def fit_damped_fringe(
         residuals,
         x0,
         bounds=([0.0, 0.0, 0.0, -2.0 * math.pi], [np.inf, np.inf, 2.0, 2.0 * math.pi]),
-        xtol=tolerance,
-        ftol=tolerance,
-        gtol=tolerance,
+        xtol=_FIT_TOLERANCE,
+        ftol=_FIT_TOLERANCE,
+        gtol=_FIT_TOLERANCE,
     )
     if not result.success:
         raise NumericalError(

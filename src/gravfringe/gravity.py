@@ -31,9 +31,9 @@ discriminating measurement rather than a calibration.
 
 The units-free helper ``two_ball_derivative`` evaluates V^(k) for any
 k >= 0 (k = 0 is the potential itself); it takes the couplings ``g_i``
-directly and also serves the scaled phase-space oracle.  The
-config-facing frequency functions evaluate the closed forms above in
-SI units.
+directly and builds the scaled phase-space oracle's field.  The two
+frequencies reduce to one closed form, which the config-facing functions
+evaluate in SI units and the oracle in its own units.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import math
 
 import numpy as np
 
-from .config import ExperimentConfig, with_updates
+from .config import G, HBAR, ExperimentConfig, with_updates
 from .errors import ConfigValidationError, DomainError
 
 __all__ = [
@@ -83,6 +83,41 @@ def two_ball_derivative(x, g1: float, g2: float, d1: float, d2: float, order: in
     return out if out.ndim else float(out)
 
 
+def _frequencies(
+    scale: float, w1: float, w2: float, d1: float, d2: float, dx: float
+) -> tuple[float, float]:
+    """(omega_C, omega_Q) of a two-ball field, in the units ``scale`` sets.
+
+    The one home of the reduced closed forms
+
+        omega_C = scale * (w1/d1^2 - w2/d2^2),
+        omega_Q = scale * (w1/(d1^2 - dx^2/4) - w2/(d2^2 - dx^2/4)),
+
+    which are dx V'(0) / hbar and (V(dx/2) - V(-dx/2)) / hbar for
+    ``scale = dx/hbar`` and weights ``w_i = g_i``.  SI callers pass
+    ``scale = G m dx / hbar`` with the ball masses as weights.  Each ball
+    centre must clear the arms (d_i > dx/2).
+    """
+    quarter = dx**2 / 4.0
+    return (
+        scale * (w1 / d1**2 - w2 / d2**2),
+        scale * (w1 / (d1**2 - quarter) - w2 / (d2**2 - quarter)),
+    )
+
+
+def _si_frequencies(config: ExperimentConfig) -> tuple[float, float]:
+    """(omega_C, omega_Q) of a configuration, rad/s."""
+    c = config
+    return _frequencies(
+        G * c.particle_mass * c.arm_separation / HBAR,
+        c.mass_left,
+        c.mass_right,
+        c.dist_left,
+        c.dist_right,
+        c.arm_separation,
+    )
+
+
 def omega_classical(config: ExperimentConfig) -> float:
     """Classical fringe frequency, rad/s.
 
@@ -90,14 +125,7 @@ def omega_classical(config: ExperimentConfig) -> float:
     times the midpoint force over hbar.  Positive when the left ball
     dominates.
     """
-    c = config
-    return (
-        c.constants.G
-        * c.particle_mass
-        * c.arm_separation
-        / c.constants.hbar
-        * (c.mass_left / c.dist_left**2 - c.mass_right / c.dist_right**2)
-    )
+    return _si_frequencies(config)[0]
 
 
 def omega_quantum(config: ExperimentConfig) -> float:
@@ -110,18 +138,7 @@ def omega_quantum(config: ExperimentConfig) -> float:
     Requires each ball centre to clear the arms (d_i > dx/2), which
     configuration validation already guarantees.
     """
-    c = config
-    quarter = c.arm_separation**2 / 4.0
-    return (
-        c.constants.G
-        * c.particle_mass
-        * c.arm_separation
-        / c.constants.hbar
-        * (
-            c.mass_left / (c.dist_left**2 - quarter)
-            - c.mass_right / (c.dist_right**2 - quarter)
-        )
-    )
+    return _si_frequencies(config)[1]
 
 
 def _classical_null(d_fixed: float, m_fixed: float, m_moved: float) -> float:

@@ -31,7 +31,7 @@ from .config import (
     _write_atomic,
 )
 from .errors import ConfigParseError, ConfigValidationError
-from .gravity import two_ball_derivative
+from .gravity import _frequencies
 from .phasespace import (
     BracketOrder,
     HamiltonianField,
@@ -48,7 +48,6 @@ __all__ = [
     "load_oracle_config",
     "parse_oracle_config",
     "run_validation",
-    "save_oracle_config",
 ]
 
 TWO_BALL = "two_ball"
@@ -149,6 +148,20 @@ class OracleConfig:
             for name in _TWO_BALL_KEYS:
                 if getattr(self, name) <= 0.0:
                     raise ConfigValidationError(f"{name} must be positive")
+            half = self.arm_separation / 2.0
+            for name in ("dist_left", "dist_right"):
+                value = getattr(self, name)
+                # the closed forms divide by d^2 - dx^2/4 and square d
+                if not value > half:
+                    raise ConfigValidationError(
+                        f"{name!r} = {value!r} must exceed arm_separation/2 = "
+                        f"{half!r}: the ball centre meets an arm"
+                    )
+                if not math.isfinite(value * value):
+                    raise ConfigValidationError(
+                        f"{name!r} = {value!r} is too large: its square is not "
+                        "a finite float"
+                    )
         elif self.quad_curvature is None:
             object.__setattr__(self, "quad_curvature", 0.0)
         half_q = 1.5 * self.arm_separation
@@ -189,24 +202,21 @@ class OracleConfig:
 
         omega_classical = dx * V'(0) / hbar (midpoint-force route) and
         omega_quantum = [V(dx/2) - V(-dx/2)] / hbar (potential-difference
-        route); for a quadratic potential the two coincide identically.
+        route), the two-ball pair from the reduced forms that
+        :mod:`gravfringe.gravity` evaluates in SI units; for a quadratic
+        potential the two coincide identically.
         """
-        a = self.arm_separation / 2.0
         if self.potential == TWO_BALL:
-            args = (
+            return _frequencies(
+                self.arm_separation / self.hbar,
                 self.coupling_left,
                 self.coupling_right,
                 self.dist_left,
                 self.dist_right,
+                self.arm_separation,
             )
-            slope_mid = float(two_ball_derivative(0.0, *args, order=1))
-            diff = float(two_ball_derivative(a, *args, order=0)) - float(
-                two_ball_derivative(-a, *args, order=0)
-            )
-        else:
-            slope_mid = self.quad_slope
-            diff = self.quad_slope * self.arm_separation
-        return self.arm_separation * slope_mid / self.hbar, diff / self.hbar
+        diff = self.quad_slope * self.arm_separation
+        return self.arm_separation * self.quad_slope / self.hbar, diff / self.hbar
 
     def field_on(self, q_axis: np.ndarray) -> HamiltonianField:
         """Hamiltonian field carrying derivatives for the configured order."""
@@ -303,11 +313,6 @@ def serialize_oracle_config(config: OracleConfig) -> str:
     return _render_flat((f.name, getattr(config, f.name)) for f in fields(config))
 
 
-def save_oracle_config(config: OracleConfig, path: str | Path) -> None:
-    """Write an oracle configuration document."""
-    _write_atomic(path, serialize_oracle_config(config))
-
-
 # -------------------------------------------------------------- validation
 
 
@@ -394,8 +399,10 @@ def run_validation(config: OracleConfig, tolerance: float = 0.05) -> OracleRepor
     check therefore demands a phase velocity below the resolution
     floor.
     """
-    if not tolerance > 0.0:
-        raise ConfigValidationError("tolerance must be positive")
+    if not 0.0 < tolerance < math.inf:
+        raise ConfigValidationError(
+            f"tolerance must be positive and finite, got {tolerance!r}"
+        )
     w0 = config.initial_state()
     h = config.field_on(w0.q_axis)
     omega_c, omega_q = config.predicted_frequencies()

@@ -210,15 +210,11 @@ class HamiltonianField:
     ) -> "HamiltonianField":
         """Two-ball field -g1/(d1+q) - g2/(d2-q) on the axis.
 
-        The axis must lie strictly inside (-d1, d2); the closed-form
-        derivative ladder is exact at every order.
+        The axis must lie strictly inside (-d1, d2), or the derivative
+        raises :class:`DomainError`; the closed-form derivative ladder is
+        exact at every order.
         """
         q = np.asarray(q_axis, dtype=float)
-        if q[0] <= -dist_left or q[-1] >= dist_right:
-            raise DomainError(
-                "grid reaches a ball centre: the q axis must lie inside "
-                f"(-{dist_left!r}, {dist_right!r})"
-            )
         rows = [
             two_ball_derivative(
                 q, coupling_left, coupling_right, dist_left, dist_right, order=k

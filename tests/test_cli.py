@@ -12,12 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gravfringe import cli
 from gravfringe.cli import main
-from gravfringe.config import cesium_tungsten_config, save_config, serialize_config
+from gravfringe.config import cesium_tungsten_config, serialize_config
 from gravfringe.errors import GravfringeError, NumericalError
 from gravfringe.fringe import read_fit_result, read_record
 from gravfringe.oracle import load_oracle_config, serialize_oracle_config
@@ -101,7 +101,7 @@ def test_frequencies_report(tmp_path, capsys):
 
 def test_frequencies_with_explicit_config(tmp_path):
     cfg_path = tmp_path / "exp.cfg"
-    save_config(cesium_tungsten_config(), cfg_path)
+    cfg_path.write_text(serialize_config(cesium_tungsten_config()))
     out = tmp_path / "run"
     assert main(["frequencies", "--config", str(cfg_path), "--out", str(out)]) == 0
     report = read_kv(out / "frequencies.txt")
@@ -251,6 +251,22 @@ def test_sweep_marks_infeasible_rows(tmp_path, capsys):
             assert np.isnan(omega_c) and np.isnan(omega_q)
 
 
+def test_sweep_row_past_the_float_range_is_infeasible(tmp_path, capsys):
+    # d1 = 1.06e230 squares past the largest float; the row is marked,
+    # not the whole sweep ended
+    out = tmp_path / "run"
+    code = main(
+        ["sweep", "--parameter", "d1", "--min=0.222",
+         "--max=1.0649052434772369e+230", "--steps=34", "--out", str(out)]
+    )
+    assert code == 0
+    capsys.readouterr()
+    rows = read_sweep(out / "sweep.csv")
+    assert len(rows) == 34
+    assert rows[0][3] == "ok"
+    assert all(status == "infeasible" for *_, status in rows[1:])
+
+
 def test_sweep_arm_separation_scaled_frequency_increases(tmp_path, capsys):
     out = tmp_path / "run"
     code = main(
@@ -338,6 +354,19 @@ def test_validate_oracle_fail_exits_3(tmp_path, capsys):
     assert (out / "oracle_report.txt").exists()
 
 
+@pytest.mark.parametrize("tolerance", ["inf", "nan", "0", "-1"])
+def test_validate_oracle_bad_tolerance_exits_2_before_the_manifest(
+    tmp_path, capsys, tolerance
+):
+    # an infinite tolerance would pass every validation
+    out = tmp_path / "run"
+    code = main(["validate-oracle", "--config", str(CONFIGS / "oracle_quadratic.cfg"),
+                 "--tolerance", tolerance, "--out", str(out)])
+    assert code == 2
+    assert "--tolerance" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 # --------------------------------------------------------------------- fit
 
 
@@ -407,19 +436,6 @@ def test_fit_non_finite_record_exits_2(tmp_path, capsys):
 # ------------------------------------------------------ exit-code contract
 
 
-@pytest.mark.parametrize("tolerance", ["0", "-1", "1e-20", "nan"])
-def test_fit_tolerance_at_or_below_machine_epsilon_exits_2(
-    tmp_path, capsys, tolerance
-):
-    sim_out = tmp_path / "sim"
-    assert main(["simulate", "--model", "schrodinger", "--duration", "60",
-                 "--out", str(sim_out)]) == 0
-    code = main(["fit", str(sim_out / "record.csv"), "--tolerance", tolerance,
-                 "--out", str(tmp_path / "fit")])
-    assert code == 2
-    assert "--tolerance" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "flags, named",
     [
@@ -449,7 +465,14 @@ def test_simulate_non_finite_duration_exits_2(tmp_path, capsys, duration):
 
 
 @pytest.mark.parametrize(
-    "good, bad", [("seed=None", "seed=abc"), ("noise_sd=0.0", "noise_sd=zz")]
+    "good, bad",
+    [
+        ("seed=None", "seed=abc"),
+        ("noise_sd=0.0", "noise_sd=zz"),
+        ("noise_sd=0.0", "noise_sd=nan"),
+        ("noise_sd=0.0", "noise_sd=inf"),
+        ("noise_sd=0.0", "noise_sd=-1.0"),
+    ],
 )
 def test_fit_unparseable_header_value_exits_2(tmp_path, capsys, good, bad):
     sim_out = tmp_path / "sim"
@@ -460,6 +483,8 @@ def test_fit_unparseable_header_value_exits_2(tmp_path, capsys, good, bad):
     code = main(["fit", str(record), "--out", str(tmp_path / "fit")])
     assert code == 2
     assert bad.partition("=")[0] in capsys.readouterr().err
+    # the record is read before the manifest is written
+    assert not (tmp_path / "fit" / "manifest.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -530,10 +555,11 @@ def test_unusable_path_exits_2_naming_it(tmp_path, capsys, argv, key):
         (["validate-oracle"], "--seed", "5"),
         (["fit", "record.csv"], "--config", "/does/not/exist"),
         (["fit", "record.csv"], "--seed", "4"),
+        (["fit", "record.csv"], "--tolerance", "1e-9"),
     ],
     ids=["frequencies-seed", "frequencies-tolerance", "simulate-tolerance",
          "sweep-seed", "sweep-tolerance", "validate-oracle-seed", "fit-config",
-         "fit-seed"],
+         "fit-seed", "fit-tolerance"],
 )
 def test_flag_the_subcommand_does_not_read_exits_2(
     tmp_path, capsys, argv, flag, value
@@ -545,30 +571,45 @@ def test_flag_the_subcommand_does_not_read_exits_2(
 
 
 @pytest.mark.parametrize(
-    "argv, name, key, value",
+    "argv, name, key, value, named",
     [
-        (["validate-oracle"], "oracle_quadratic.cfg", "quad_slope", "nan"),
-        (["validate-oracle"], "oracle_quadratic.cfg", "quad_curvature", "nan"),
-        (["validate-oracle"], "oracle_two_ball.cfg", "coupling_left", "nan"),
-        (["validate-oracle"], "oracle_two_ball.cfg", "dist_right", "nan"),
-        (["validate-oracle"], "oracle_two_ball.cfg", "hbar", "inf"),
+        (["validate-oracle"], "oracle_quadratic.cfg", "quad_slope", "nan",
+         "'quad_slope'"),
+        (["validate-oracle"], "oracle_quadratic.cfg", "quad_curvature", "nan",
+         "'quad_curvature'"),
+        (["validate-oracle"], "oracle_two_ball.cfg", "coupling_left", "nan",
+         "'coupling_left'"),
+        (["validate-oracle"], "oracle_two_ball.cfg", "dist_right", "nan",
+         "'dist_right'"),
+        (["validate-oracle"], "oracle_two_ball.cfg", "hbar", "inf", "'hbar'"),
         (["simulate", "--model", "schrodinger", "--duration", "10"],
-         "cesium_tungsten.cfg", "particle_mass_amu", "inf"),
-        (["frequencies"], "cesium_tungsten.cfg", "particle_mass_amu", "inf"),
+         "cesium_tungsten.cfg", "particle_mass_amu", "inf", "'particle_mass_amu'"),
+        (["frequencies"], "cesium_tungsten.cfg", "particle_mass_amu", "inf",
+         "'particle_mass_amu'"),
         # the generator divides by (2 n_max + 1)!, past the largest float
-        (["validate-oracle"], "oracle_two_ball.cfg", "n_max", "85"),
+        (["validate-oracle"], "oracle_two_ball.cfg", "n_max", "85", "'n_max'"),
+        # a ball centre on an arm (dx = 8) or inside the span: the closed
+        # forms divide by d^2 - dx^2/4
+        (["validate-oracle"], "oracle_two_ball.cfg", "dist_left", "4.0",
+         "'dist_left'"),
+        (["validate-oracle"], "oracle_two_ball.cfg", "dist_left", "3.0",
+         "'dist_left'"),
+        # finite, but its square overflows in the frequency formulas
+        (["frequencies"], "cesium_tungsten.cfg", "dist_left_m",
+         "1.7976931348623157e+308", "dist_left ="),
     ],
     ids=["quad_slope", "quad_curvature", "coupling_left", "dist_right", "hbar",
          "simulate-particle_mass_amu", "frequencies-particle_mass_amu",
-         "n_max-above-84"],
+         "n_max-above-84", "dist_left-on-an-arm", "dist_left-inside-the-span",
+         "frequencies-dist_left-overflows"],
 )
 def test_non_finite_config_value_exits_2_naming_it(
-    tmp_path, capsys, argv, name, key, value
+    tmp_path, capsys, argv, name, key, value, named
 ):
     path = config_with(tmp_path, name, key, value)
     code = main([*argv, "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
-    assert repr(key) in capsys.readouterr().err
+    assert named in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -726,7 +767,7 @@ def documents(draw, base, values):
 
 @st.composite
 def runs(draw):
-    """(argv, config document or None, fit flags or None) of one run."""
+    """(argv, config document or None, fit or not, record edit or None)."""
     subcommand = draw(st.sampled_from(
         ["frequencies", "simulate", "sweep", "validate-oracle", "fit"]))
     doc = None
@@ -754,20 +795,33 @@ def runs(draw):
     else:
         argv, names = [subcommand], []
     argv += [f"{name}={draw(FLAG_VALUES[name])}" for name in names]
-    fit = None
+    edit = None
     if subcommand == "fit":
         # the record, maybe with one sample replaced and the rest cut
-        edit = st.tuples(st.integers(2, 401), usually(st.floats(0.0, 1.0), st.floats()))
-        tolerance = draw(st.sets(st.just("--tolerance")))
-        fit = ([f"--tolerance={draw(FLAG_VALUES['--tolerance'])}" for _ in tolerance],
-               draw(usually(st.none(), edit)))
-    return argv, doc, fit
+        edit = draw(usually(st.none(), st.tuples(
+            st.integers(2, 401), usually(st.floats(0.0, 1.0), st.floats()))))
+    return argv, doc, subcommand == "fit", edit
+
+
+def assert_strict_json(path):
+    """A manifest at ``path``, if any, is JSON without NaN or Infinity."""
+    if path.exists():
+        def reject(constant):
+            raise AssertionError(f"{path} holds {constant}")
+
+        json.loads(path.read_text(), parse_constant=reject)
+
+
+SMALL_QUADRATIC = "".join(f"{key} = {value}\n" for key, value in SMALL_ORACLES[0].items())
 
 
 @settings(max_examples=300, deadline=None)
 @given(runs())
+# a non-finite tolerance once ran, and left a manifest that is not JSON
+@example((["validate-oracle", "--tolerance=inf"], SMALL_QUADRATIC, False, None))
+@example((["validate-oracle", "--tolerance=nan"], SMALL_QUADRATIC, False, None))
 def test_no_input_ends_in_a_traceback(run):
-    argv, doc, fit = run
+    argv, doc, fit, edit = run
     with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"):
         tmp = Path(tmp)
         if doc is not None:
@@ -775,8 +829,8 @@ def test_no_input_ends_in_a_traceback(run):
             argv = [*argv, "--config", str(tmp / "doc.cfg")]
         code = main([*argv, "--out", str(tmp / "out")])
         assert code in (0, 2, 3)
-        if fit is not None and code == 0:
-            tolerance, edit = fit
+        assert_strict_json(tmp / "out" / "manifest.json")
+        if fit and code == 0:
             record = tmp / "out" / "record.csv"
             if edit is not None:
                 lines = record.read_text().splitlines()
@@ -784,8 +838,9 @@ def test_no_input_ends_in_a_traceback(run):
                 if row < len(lines):
                     lines[row] = f"{lines[row].split(',')[0]},{value}"
                 record.write_text("\n".join(lines[: row + 2]) + "\n")
-            code = main(["fit", str(record), *tolerance, "--out", str(tmp / "fit")])
+            code = main(["fit", str(record), "--out", str(tmp / "fit")])
             assert code in (0, 2, 3)
+            assert_strict_json(tmp / "fit" / "manifest.json")
 
 
 # ---------------------------------------------------------------- manifest

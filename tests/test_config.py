@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gravfringe.config import (
+    AMU,
     ExperimentConfig,
-    PhysicalConstants,
     _parse_flat_document,
     _render_flat,
     _write_atomic,
@@ -20,7 +20,6 @@ from gravfringe.config import (
     cesium_tungsten_config,
     load_config,
     parse_config,
-    save_config,
     serialize_config,
 )
 from gravfringe.errors import ConfigParseError, ConfigValidationError, DomainError
@@ -99,17 +98,6 @@ def test_negative_mass_rejected():
         parse_config(GOOD_DOC.replace("mass_left_kg = 0.020", "mass_left_kg = -0.020"))
 
 
-def test_constants_positive():
-    with pytest.raises(ConfigValidationError):
-        PhysicalConstants(G=0.0)
-
-
-def test_constants_overridable_via_config():
-    cfg = parse_config(GOOD_DOC + "\ngravitational_constant_si = 6.7e-11\n")
-    assert cfg.constants.G == 6.7e-11
-    assert cfg.constants.hbar == PhysicalConstants().hbar
-
-
 def test_ball_radius_value_and_scaling():
     # 20 g of tungsten: r = (3 m / 4 pi rho)^(1/3)
     r = ball_radius(0.020, 19300.0)
@@ -135,7 +123,7 @@ def test_roundtrip_is_identity(tmp_path):
     # and through the filesystem
     cfg = cesium_tungsten_config()
     path = tmp_path / "geometry.cfg"
-    save_config(cfg, path)
+    path.write_text(serialize_config(cfg))
     assert load_config(path) == cfg
 
 
@@ -145,14 +133,14 @@ def test_mass_off_the_kg_amu_lattice_round_trips():
     # written and read back as is
     cfg = dataclasses.replace(
         cesium_tungsten_config(),
-        particle_mass_amu=6.603554144849853e-21 / PhysicalConstants.amu,
+        particle_mass_amu=6.603554144849853e-21 / AMU,
     )
     assert parse_config(serialize_config(cfg)) == cfg
 
 
 def test_failed_write_leaves_previous_file_intact(tmp_path):
     path = tmp_path / "geometry.cfg"
-    save_config(cesium_tungsten_config(), path)
+    path.write_text(serialize_config(cesium_tungsten_config()))
     before = path.read_bytes()
     # a lone surrogate has no encoding, so this write fails after the
     # target would have been opened and truncated
@@ -189,9 +177,7 @@ def test_direct_construction_validates():
         )
 
 
-FLOAT_FIELDS = [
-    f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "constants"
-]
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig)]
 
 
 @pytest.mark.parametrize("name", FLOAT_FIELDS)
@@ -200,10 +186,11 @@ def test_infinite_field_rejected_naming_it(name):
         dataclasses.replace(cesium_tungsten_config(), **{name: math.inf})
 
 
-@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(PhysicalConstants)])
-def test_infinite_constant_rejected_naming_it(name):
-    with pytest.raises(ConfigValidationError, match=f"constant {name} must be finite"):
-        PhysicalConstants(**{name: math.inf})
+@pytest.mark.parametrize("name", ["arm_separation", "dist_left", "dist_right"])
+def test_length_with_overflowing_cube_rejected_naming_it(name):
+    # 1e103 m is finite, but its cube is not
+    with pytest.raises(ConfigValidationError, match=rf"^{name} = 1e\+103 m is too large"):
+        dataclasses.replace(cesium_tungsten_config(), **{name: 1e103})
 
 
 # ------------------------------------------------------------------ codec
@@ -254,15 +241,6 @@ def test_render_flat_skips_none_and_spells_bools():
 @st.composite
 def experiment_configs(draw):
     positive = st.floats(1e-3, 1e3)
-    constants = draw(
-        st.just(PhysicalConstants())
-        | st.builds(
-            PhysicalConstants,
-            G=st.floats(1e-12, 1e-9),
-            hbar=st.floats(1e-35, 1e-33),
-            amu=st.floats(1e-28, 1e-26),
-        )
-    )
     density = draw(st.floats(1e2, 1e5))
     arm = draw(st.floats(1e-3, 1.0))
     mass_left, mass_right = draw(positive), draw(positive)
@@ -276,7 +254,6 @@ def experiment_configs(draw):
         dist_right=arm / 2 + ball_radius(mass_right, density) + draw(gap),
         source_density=density,
         hold_time=draw(st.floats(0.0, 1e4)),
-        constants=constants,
     )
 
 

@@ -7,6 +7,8 @@ acceptance suite.
 
 import dataclasses
 import math
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -21,7 +23,6 @@ from gravfringe.oracle import (
     load_oracle_config,
     parse_oracle_config,
     run_validation,
-    save_oracle_config,
     serialize_oracle_config,
     write_report,
 )
@@ -192,7 +193,7 @@ def test_infinite_hold_time_named_as_such():
 def test_serialize_parse_round_trip(tmp_path):
     cfg = default_scaled_config()
     path = tmp_path / "oracle.cfg"
-    save_oracle_config(cfg, path)
+    path.write_text(serialize_oracle_config(cfg))
     assert load_oracle_config(path) == cfg
     # quadratic configs round-trip too, including the filled curvature
     quad = quadratic_config()
@@ -270,6 +271,63 @@ def test_quadratic_predictions_coincide():
     assert omega_c == omega_q == pytest.approx(0.0375 * 8.0)
 
 
+def potential_routes(cfg):
+    """(dx V'(0) / hbar, [V(a) - V(-a)] / hbar) from the potential itself.
+
+    The routes the reduced closed forms are derived from, kept here as
+    their reference: the midpoint force and the potential difference
+    between the arms at +-a, a = dx/2.
+    """
+    a = cfg.arm_separation / 2.0
+    args = (cfg.coupling_left, cfg.coupling_right, cfg.dist_left, cfg.dist_right)
+    slope = two_ball_derivative(0.0, *args, order=1)
+    diff = two_ball_derivative(a, *args, order=0) - two_ball_derivative(
+        -a, *args, order=0
+    )
+    return cfg.arm_separation * slope / cfg.hbar, diff / cfg.hbar
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_configs().filter(lambda cfg: cfg.potential == "two_ball"))
+def test_predicted_frequencies_match_the_potential_routes(cfg):
+    # relative to the size of each ball's term, since a nulled geometry
+    # cancels them to rounding
+    g1, g2, d1, d2 = (cfg.coupling_left, cfg.coupling_right,
+                      cfg.dist_left, cfg.dist_right)
+    scale = cfg.arm_separation / cfg.hbar
+    quarter = cfg.arm_separation**2 / 4.0
+    sizes = (
+        scale * (g1 / d1**2 + g2 / d2**2),
+        scale * (g1 / (d1**2 - quarter) + g2 / (d2**2 - quarter)),
+    )
+    for got, want, size in zip(cfg.predicted_frequencies(), potential_routes(cfg), sizes):
+        assert abs(got - want) <= 1e-12 * size
+
+
+def nulled_oracle_config(seed):
+    """The benchmark's seeded nulled geometry: d2 = d1 sqrt(g2/g1)."""
+    ratio = random.Random(seed).uniform(1.8, 2.2)
+    return dataclasses.replace(
+        default_scaled_config(),
+        coupling_right=705.0 * ratio,
+        dist_right=20.0 * math.sqrt(ratio),
+        hold_time=0.5,
+        n_snapshots=5,
+    )
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_predicted_omega_quantum_is_exact_to_rounding(seed):
+    cfg = nulled_oracle_config(seed)
+    dx, g1, g2, d1, d2 = map(Fraction, (
+        cfg.arm_separation, cfg.coupling_left, cfg.coupling_right,
+        cfg.dist_left, cfg.dist_right))
+    quarter = dx**2 / 4
+    exact = dx / Fraction(cfg.hbar) * (g1 / (d1**2 - quarter) - g2 / (d2**2 - quarter))
+    got = cfg.predicted_frequencies()[1]
+    assert abs(Fraction(got) - exact) <= Fraction(1, 10**14) * abs(exact)
+
+
 # -------------------------------------------------------------- validation
 
 
@@ -342,6 +400,13 @@ def test_unreachable_tolerance_fails_honestly():
 def test_nonpositive_tolerance_rejected():
     with pytest.raises(ConfigValidationError, match="tolerance"):
         run_validation(quadratic_config(), tolerance=0.0)
+
+
+@pytest.mark.parametrize("tolerance", [math.inf, math.nan])
+def test_non_finite_tolerance_rejected(tolerance):
+    # an infinite tolerance would pass every validation
+    with pytest.raises(ConfigValidationError, match="tolerance"):
+        run_validation(quadratic_config(), tolerance=tolerance)
 
 
 def test_grid_reaching_ball_centre_rejected():
