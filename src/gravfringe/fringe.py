@@ -183,7 +183,8 @@ def write_record(record: FringeRecord, path: str | Path) -> None:
         f"# model={record.model},seed={record.seed},noise_sd={record.noise_sd!r}",
         ",".join(names),
     ]
-    lines += [",".join(f"{v:.17g}" for v in row) for row in zip(*columns)]
+    row_format = ",".join(["%.17g"] * len(columns))
+    lines += [row_format % row for row in zip(*(c.tolist() for c in columns))]
     _write_atomic(path, "\n".join(lines) + "\n")
 
 

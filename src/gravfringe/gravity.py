@@ -79,7 +79,9 @@ def two_ball_derivative(x, g1: float, g2: float, d1: float, d2: float, order: in
     k = order
     sign = -1.0 if k % 2 else 1.0  # (-1)^k
     fact = float(math.factorial(k))
-    out = -g1 * sign * fact / (d1 + xv) ** (k + 1) - g2 * fact / (d2 - xv) ** (k + 1)
+    with np.errstate(over="ignore"):
+        # a far ball's power overflows to inf, and its term is then 0
+        out = -g1 * sign * fact / (d1 + xv) ** (k + 1) - g2 * fact / (d2 - xv) ** (k + 1)
     return out if out.ndim else float(out)
 
 

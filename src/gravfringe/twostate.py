@@ -41,11 +41,12 @@ y = (rho_LL, Re rho_LR, Im rho_LR), with the generator
 The population row integrates the coherence and the coherence block A
 drives f = (Re rho_LR, Im rho_LR) alone.  Everything follows from B:
 :func:`spectral_trajectory` is the closed form, one matrix exponential
-of the augmented coherence block per sample time, taken as a single
-batched call; and :func:`trajectory` (with its one-time view
-:func:`evolve`) integrates y' = B y with an adaptive Runge-Kutta
-method.  That integrator is not a second route to the answer but the
-independent cross-check the acceptance gate requires.
+of the augmented coherence block per sample time, taken by a batched
+numpy Padé scaling and squaring that needs no scipy; and
+:func:`trajectory` (with its one-time view :func:`evolve`) integrates
+y' = B y with an adaptive Runge-Kutta method.  That integrator is not
+a second route to the answer but the independent cross-check the
+acceptance gate requires.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from dataclasses import InitVar, dataclass
 from typing import Union
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import CoherenceGrowthWarning, NumericalError, PositivityWarning
 
@@ -322,6 +322,75 @@ def _warn_if_growing(a: np.ndarray) -> None:
         )
 
 
+#: Padé-13 coefficients b_0..b_13 and the 1-norm bound theta_13 below which
+#: the approximant meets double precision (Higham, SIAM J. Matrix Anal.
+#: Appl. 26, 1179 (2005)).
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+#: samples per pass of the exponential: bounds the working set
+_BLOCK = 2048
+
+
+def _mul(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Per-sample product of (n, 2, 2) blocks with (n, 2, k) block rows.
+
+    Written out elementwise so that each sample's bits do not depend on
+    the batch it sits in.
+    """
+    return m[:, :, :1] * rows[:, None, 0] + m[:, :, 1:] * rows[:, None, 1]
+
+
+def _solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Per-sample solution of (n, 2, 2) systems, partial pivoting."""
+    swap = (np.abs(m[:, 1, 0]) > np.abs(m[:, 0, 0]))[:, None, None]
+    m = np.where(swap, m[:, ::-1], m)
+    rhs = np.where(swap, rhs[:, ::-1], rhs)
+    factor = (m[:, 1, 0] / m[:, 0, 0])[:, None]
+    y1 = (rhs[:, 1] - factor * rhs[:, 0]) / (m[:, 1, 1:] - factor * m[:, 0, 1:])
+    y0 = (rhs[:, 0] - m[:, 0, 1:] * y1) / m[:, 0, :1]
+    return np.stack([y0, y1], axis=1)
+
+
+def _augmented_exp(a: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Top block row [exp(A t) | INT_0^t exp(A s) ds] of exp(M t) for
+    M = [[A, I], [0, 0]], one (2, 4) row per time.
+
+    Scaling and squaring with the Padé-13 approximant, each sample with
+    its own s = max(0, ceil(log2(t |M|_1 / theta_13))).  Every power of
+    X = c M (c = t / 2^s) has the top row [x^k | c x^(k-1)] with x = c A,
+    so only top rows are carried: the approximant reduces to a 2x2
+    solve, and a squaring of [[E, F], [0, I]] is [[E^2, E F + F], [0, I]].
+    """
+    b = _PADE13
+    norm = max(1.0, float(np.abs(a).sum(axis=0).max()))
+    s = np.ceil(np.log2(np.maximum(ts * norm / _THETA13, 1.0)))
+    s = np.where(np.isfinite(s), s, 0.0).astype(int)
+    c = np.ldexp(ts, -s)[:, None, None]
+    x = c * a
+    eye = np.broadcast_to(np.eye(2), x.shape)
+    x2 = _mul(x, np.concatenate([x, c * eye], axis=2))  # [x^2 | c x]
+    x4 = _mul(x2[:, :, :2], x2)
+    x6 = _mul(x4[:, :, :2], x2)
+    ident = np.concatenate([eye, np.zeros_like(x)], axis=2)
+    w = _mul(x6[:, :, :2], b[13] * x6 + b[11] * x4 + b[9] * x2)
+    w += b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * ident
+    u = _mul(x, w)
+    u[:, :, 2:] += b[1] * c * eye  # the c I corner of X times w's b_1 I
+    v = _mul(x6[:, :, :2], b[12] * x6 + b[10] * x4 + b[8] * x2)
+    v += b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * ident
+    rhs = np.concatenate([v[:, :, :2] + u[:, :, :2], 2.0 * u[:, :, 2:]], axis=2)
+    top = _solve(v[:, :, :2] - u[:, :, :2], rhs)
+    for k in range(int(s.max())):
+        squared = _mul(top[:, :, :2], top)
+        squared[:, :, 2:] += top[:, :, 2:]
+        top = np.where((k < s)[:, None, None], squared, top)
+    return top
+
+
 def spectral_trajectory(
     model: DynamicsModel, initial: TwoLevelState, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -335,23 +404,25 @@ def spectral_trajectory(
 
     Both the propagator and its integral come from one matrix
     exponential of the augmented block matrix [[A, I], [0, 0]] per time
-    (the integral is its upper-right block), all taken in one batched
-    call.  The form is branch-free across real-distinct, complex-pair,
-    and repeated spectra; see :func:`eigenvalue_branch` for the
-    report-only classification.  Emits at most one
-    :class:`CoherenceGrowthWarning` and one :class:`PositivityWarning`
-    per call.
+    (the integral is its upper-right block).  The exponentials are one
+    batched Padé-13 scaling and squaring with a per-time scaling, run
+    in blocks of ``_BLOCK`` times; each time's result has the same bits
+    alone as in any batch.  The form is branch-free across
+    real-distinct, complex-pair, and repeated spectra; see
+    :func:`eigenvalue_branch` for the report-only classification.  Emits
+    at most one :class:`CoherenceGrowthWarning` and one
+    :class:`PositivityWarning` per call.
     """
     ts = _validate_times(times)
     b = _generator(model)
-    _warn_if_growing(b[1:, 1:])
-    augmented = np.zeros((4, 4))
-    augmented[:2, :2] = b[1:, 1:]
-    augmented[:2, 2:] = np.eye(2)
-    propagated = expm(augmented * ts[:, None, None])
+    a = b[1:, 1:]
+    _warn_if_growing(a)
+    top = np.concatenate(
+        [_augmented_exp(a, ts[i : i + _BLOCK]) for i in range(0, ts.size, _BLOCK)]
+    )
     f0 = np.array([initial.rho_lr.real, initial.rho_lr.imag])
-    f_t = propagated[:, :2, :2] @ f0
-    integral = propagated[:, :2, 2:] @ f0
+    f_t = top[:, :, 0] * f0[0] + top[:, :, 1] * f0[1]
+    integral = top[:, :, 2] * f0[0] + top[:, :, 3] * f0[1]
     rho_ll = initial.rho_ll + (b[0, 1] * integral[:, 0] + b[0, 2] * integral[:, 1])
     rho_lr = f_t[:, 0] + 1j * f_t[:, 1]
     _warn_if_unphysical(rho_ll, rho_lr, slack=1e-9)

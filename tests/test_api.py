@@ -82,6 +82,21 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     assert _run_python("-c", code).strip() == "[]"
 
 
+def test_twostate_import_leaves_scipy_unloaded():
+    # the package's __init__ re-exports fringe, which loads scipy.optimize,
+    # so the module is imported under a bare package of the same path
+    package = Path(gravfringe.__file__).resolve().parent
+    code = (
+        "import sys, types; "
+        "package = types.ModuleType('gravfringe'); "
+        f"package.__path__ = [{str(package)!r}]; "
+        "sys.modules['gravfringe'] = package; "
+        "import gravfringe.twostate; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    assert _run_python("-c", code).strip() == "[]"
+
+
 def test_cli_files_name_their_encoding(tmp_path):
     # -X warn_default_encoding warns on every open() that leaves the
     # encoding to the locale, and -W error makes that warning fatal

@@ -340,6 +340,20 @@ def test_validate_oracle_quadratic_passes(tmp_path, capsys):
     assert manifest["config"]["potential"] == "quadratic"
 
 
+def test_validate_oracle_far_ball_leaves_stderr_empty(tmp_path, capsys, recwarn):
+    # (1e50 + x)^(k+1) overflows to inf; the ball's term is correctly 0
+    text = (CONFIGS / "oracle_two_ball.cfg").read_text()
+    for key, value in [("dist_left", "1e50"), ("hold_time", "0.3"), ("n_q", "128"),
+                       ("n_p", "128"), ("p_lo", "-12.0"), ("p_hi", "12.0")]:
+        text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(text)
+    code = main(["validate-oracle", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert not recwarn.list
+
+
 def test_validate_oracle_fail_exits_3(tmp_path, capsys):
     cfg = tmp_path / "quad.cfg"
     cfg.write_text(QUADRATIC_ORACLE_DOC)
