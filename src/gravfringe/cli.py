@@ -457,7 +457,7 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         return _DISPATCH[args.subcommand](args, out_dir)
-    except (NumericalError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (NumericalError, ArithmeticError) as exc:
         print(f"gravfringe: numerical failure: {exc}", file=sys.stderr)
         return 3
     except (GravfringeError, OSError, MemoryError) as exc:

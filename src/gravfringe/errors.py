@@ -2,8 +2,9 @@
 
 The command line maps an exception to its exit status by class alone:
 
-* :class:`NumericalError`, ``ArithmeticError`` and
-  ``numpy.linalg.LinAlgError`` -- a numerical failure -- exit 3;
+* :class:`NumericalError` and ``ArithmeticError`` -- a numerical
+  failure -- exit 3 (the package re-raises numpy's ``LinAlgError`` as
+  a :class:`NumericalError`);
 * every other :class:`GravfringeError`, plus ``OSError`` (an unusable
   path), ``UnicodeDecodeError`` (a file that is not UTF-8) and
   ``MemoryError`` (a size that cannot be allocated) -- an input
@@ -78,9 +79,10 @@ class RecordError(GravfringeError):
 
 class NumericalError(GravfringeError):
     """A computation on valid inputs broke down: an ODE integrator
-    failed to reach the requested time, a grid evolution stopped
-    conserving its integral, or the fringe fit did not converge.  The
-    message carries the diagnostics."""
+    failed to reach the requested time, a trajectory or a grid
+    generator left the float range, a grid evolution stopped conserving
+    its integral, a linear-algebra routine failed, or the fringe fit
+    did not converge.  The message carries the diagnostics."""
 
 
 # ----------------------------------------------------------- warnings

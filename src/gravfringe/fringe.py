@@ -141,15 +141,25 @@ def synthesize_record(
     linear model only, the one law that moves it.
     Gaussian noise of standard deviation ``noise_sd`` is added from a
     fresh ``default_rng(seed)``; a ``noise_sd`` of zero produces a fully
-    deterministic record and records ``seed=None``.
+    deterministic record and records ``seed=None``.  A trajectory that
+    overflows the float range (a fast-growing mode over a long record)
+    raises :class:`NumericalError`.
     """
     if not noise_sd >= 0.0:
         raise ValueError("noise_sd must be non-negative")
     ts = np.asarray(times, dtype=float)
-    population, coherence = spectral_trajectory(model, PLUS_STATE, ts)
+    # an overflow is reported below, as the non-finite column it leaves
+    with np.errstate(over="ignore", invalid="ignore"):
+        population, coherence = spectral_trajectory(model, PLUS_STATE, ts)
+        signal = 0.5 + coherence.real
     if not isinstance(model, GeneralLinear):
         population = None
-    signal = 0.5 + coherence.real
+    for name, column in (("signal", signal), ("population", population)):
+        if column is not None and not np.all(np.isfinite(column)):
+            raise NumericalError(
+                f"the {name} track of {model_descriptor(model)} leaves the "
+                "float range within the record"
+            )
     used_seed: int | None = None
     if noise_sd > 0.0:
         used_seed = 0 if seed is None else int(seed)
@@ -345,7 +355,10 @@ def _envelope_seed(
     inner = slice(n // 10, n - n // 10 or None)
     t_in = times[inner]
     env_in = np.clip(envelope[inner], 1e-12, None)
-    slope, intercept = np.polyfit(t_in, np.log(env_in), 1)
+    try:
+        slope, intercept = np.polyfit(t_in, np.log(env_in), 1)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"envelope seed fit failed: {exc}") from None
     lam0 = max(-float(slope), 0.0)
     contrast0 = float(np.clip(2.0 * math.exp(intercept), 1e-3, 2.0))
     return lam0, contrast0
@@ -390,14 +403,20 @@ def fit_damped_fringe(record: FringeRecord) -> FitResult:
 
     x0 = np.array([lam0, omega0, contrast0, phase0])
     # least_squares' default trust-region-reflective method honours bounds
-    result = least_squares(
-        residuals,
-        x0,
-        bounds=([0.0, 0.0, 0.0, -2.0 * math.pi], [np.inf, np.inf, 2.0, 2.0 * math.pi]),
-        xtol=_FIT_TOLERANCE,
-        ftol=_FIT_TOLERANCE,
-        gtol=_FIT_TOLERANCE,
-    )
+    try:
+        result = least_squares(
+            residuals,
+            x0,
+            bounds=(
+                [0.0, 0.0, 0.0, -2.0 * math.pi],
+                [np.inf, np.inf, 2.0, 2.0 * math.pi],
+            ),
+            xtol=_FIT_TOLERANCE,
+            ftol=_FIT_TOLERANCE,
+            gtol=_FIT_TOLERANCE,
+        )
+    except np.linalg.LinAlgError as exc:  # an SVD inside the trust region
+        raise NumericalError(f"fringe fit failed: {exc}") from None
     if not result.success:
         raise NumericalError(
             f"fringe fit did not converge (status {result.status}): "
@@ -411,7 +430,10 @@ def fit_damped_fringe(record: FringeRecord) -> FitResult:
     jac = result.jac
     # Gauss-Newton covariance, pseudo-inverted for safety near the
     # lambda = 0 bound where the Jacobian can lose rank
-    cov4 = sigma_sq * np.linalg.pinv(jac.T @ jac)
+    try:
+        cov4 = sigma_sq * np.linalg.pinv(jac.T @ jac)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"fit covariance failed: {exc}") from None
     cov4 = 0.5 * (cov4 + cov4.T)  # pinv symmetry only holds to rounding
     keep = [0, 1, 2]
     covariance = cov4[np.ix_(keep, keep)]

@@ -21,11 +21,13 @@ the multiplier i Omega(q, k_p) with the real generator
 the truncated expansion of [V(q + hbar k/2) - V(q - hbar k/2)] / hbar.
 Likewise the streaming term is i times -k_q p / m after an rfft along
 q.  Brackets apply i Omega; held packets (no streaming) evolve exactly
-by exp(t i Omega), with no time step; streaming runs use the Strang
-split of the two exact propagators (Feit, Fleck & Steiger 1982;
-Cabrera, Bondar, Jacobs & Rabitz 2015).  Omega vanishes at k = 0, so
-every row integral, and with it total probability, is conserved, and
-every propagator has unit modulus.
+by exp(t i Omega), with no time step and row by row, since Omega
+couples no two q rows (a readout that reads one row propagates only
+that row); streaming runs use the Strang split of the two exact
+propagators (Feit, Fleck & Steiger 1982; Cabrera, Bondar, Jacobs &
+Rabitz 2015).  Omega vanishes at k = 0, so every row integral, and with
+it total probability, is conserved, and every propagator has unit
+modulus.
 
 The series terminates for quadratic potentials (quantum = classical
 transport there, exactly: the corrections add zeros to Omega) and
@@ -364,7 +366,10 @@ def _along(values: np.ndarray, multiplier: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _generator(
-    h: HamiltonianField, w: WignerGrid, order: BracketOrder | int
+    h: HamiltonianField,
+    w: WignerGrid,
+    order: BracketOrder | int,
+    rows: slice | np.ndarray = slice(None),
 ) -> np.ndarray:
     """Real (n_q, n_p//2 + 1) generator Omega(q, k) of potential transport.
 
@@ -377,8 +382,9 @@ def _generator(
     the truncated expansion of [V(q + hbar k/2) - V(q - hbar k/2)] / hbar.
     Corrections whose potential derivative vanishes add exact zeros,
     so for quadratic potentials every order returns the n_max = 0
-    array bit for bit.  Raises :class:`GridError` if the field does not
-    carry V^(2 n_max + 1).
+    array bit for bit.  ``rows`` selects q rows; each row is the same
+    bits as in the whole array.  Raises :class:`GridError` if the field
+    does not carry V^(2 n_max + 1).
     """
     _require_aligned(h, w)
     o = _as_order(order)
@@ -388,11 +394,46 @@ def _generator(
             f"field carries orders 1..{h.max_order}"
         )
     k = _wavenumbers(w.p_axis.size, w.dp)
-    omega = h.derivative(1)[:, None] * k
+    omega = h.derivative(1)[rows, None] * k
     for n in range(1, o.n_max + 1):
-        coefficient = w.hbar ** (2 * n) / (4.0**n * math.factorial(2 * n + 1))
-        omega += (coefficient * h.derivative(2 * n + 1))[:, None] * k ** (2 * n + 1)
+        coefficient = _moyal_coefficient(n, w.hbar)
+        omega += (coefficient * h.derivative(2 * n + 1)[rows])[:, None] * k ** (
+            2 * n + 1
+        )
     return omega
+
+
+def _moyal_coefficient(n: int, hbar: float) -> float:
+    """hbar^(2n) / (4^n (2n+1)!), the weight of V^(2n+1) k^(2n+1) in Omega."""
+    return hbar ** (2 * n) / (4.0**n * math.factorial(2 * n + 1))
+
+
+def _check_generator_range(
+    h: HamiltonianField, w: WignerGrid, order: BracketOrder | int, t_max: float
+) -> None:
+    """Raise :class:`NumericalError` if t |Omega| can overflow on a q row.
+
+    On every q row, t_max * sum_n |c_n V^(2n+1)(q)| k_max^(2n+1) bounds
+    t |Omega(q, k)| for 0 <= t <= t_max; where it is not a finite
+    float, exp(t i Omega) turns that row to NaN.  The check reads the
+    derivative table once per order, with no 2-d array, so it covers
+    the whole grid even when only some rows are propagated.
+    """
+    k_max = float(_wavenumbers(w.p_axis.size, w.dp).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = np.abs(h.derivative(1)) * k_max
+        for n in range(1, _as_order(order).n_max + 1):
+            coefficient = _moyal_coefficient(n, w.hbar)
+            bound += np.abs(coefficient * h.derivative(2 * n + 1)) * k_max ** (
+                2 * n + 1
+            )
+        reach = t_max * bound
+    broken = np.flatnonzero(~np.isfinite(reach))
+    if broken.size:
+        raise NumericalError(
+            "evolution stopped conserving probability: t |Omega| leaves the "
+            f"float range by t = {t_max!r} on the q row {h.q_axis[broken[0]]!r}"
+        )
 
 
 def _shear_generator(h: HamiltonianField, w: WignerGrid) -> np.ndarray:
@@ -466,7 +507,8 @@ def evolve_wigner(
       potential step; the splitting error over a fixed time is O(dt^2).
 
     A final probability drift beyond 1e-5 raises
-    :class:`NumericalError`.
+    :class:`NumericalError`, and so does a held run whose t |Omega|
+    overflows on some q row.
     """
     _require_aligned(h, w)
     if t < 0.0:
@@ -477,10 +519,10 @@ def evolve_wigner(
         raise ValueError("streaming evolution needs a positive Strang step dt")
     if t == 0.0:
         return w
-    omega = _generator(h, w, order)
     if hold_packets:
-        values = _along(w.values, np.exp(1j * t * omega), axis=1)
+        values = _held_propagator(h, w, order, slice(None), t)(t)
     else:
+        omega = _generator(h, w, order)
         n_steps = max(1, math.ceil(t / dt - 1e-12))
         step = t / n_steps
         half = np.exp(0.5j * step * omega)
@@ -490,13 +532,57 @@ def evolve_wigner(
             values = _along(values, half, axis=1)
             values = _along(values, shear, axis=0)
             values = _along(values, half, axis=1)
-    out = WignerGrid(w.q_axis, w.p_axis, values, hbar=w.hbar, time=w.time + t)
-    drift = abs(out.norm() - w.norm())
+        _check_drift(w, w.values.sum(), values.sum())
+    return WignerGrid(w.q_axis, w.p_axis, values, hbar=w.hbar, time=w.time + t)
+
+
+def _check_drift(w: WignerGrid, before: float, after: float) -> None:
+    """Raise :class:`NumericalError` when the probability held by some
+    rows (grid sums ``before`` and ``after``) drifts beyond 1e-5."""
+    drift = abs(float(after * w.dq * w.dp) - float(before * w.dq * w.dp))
     if not drift <= _EVOLUTION_NORM_SLACK:
         raise NumericalError(
             f"evolution stopped conserving probability (drift {drift:.3g})"
         )
-    return out
+
+
+def _held_propagator(
+    h: HamiltonianField,
+    w: WignerGrid,
+    order: BracketOrder | int,
+    rows: slice | np.ndarray,
+    t_max: float,
+):
+    """Exact held evolution of the q rows ``w.values[rows]``.
+
+    Held packets do not stream, so exp(t i Omega) acts on each q row on
+    its own.  The rows' rfft along p and their Omega rows are built
+    once; the returned function maps a time 0 <= t <= ``t_max`` to the
+    evolved rows irfft(spectrum * exp(t i Omega)), checks that their
+    probability has not drifted, and returns the stored rows at t = 0.
+    Omega is range-checked on every q row of the grid first (see
+    :func:`_check_generator_range`), so a propagator that reads one
+    row still fails where the whole grid would.
+    """
+    _require_aligned(h, w)
+    _check_generator_range(h, w, order, t_max)
+    omega = _generator(h, w, order, rows)
+    start = w.values[rows]
+    spectrum = np.fft.rfft(start, axis=1)
+    mass = start.sum()
+
+    def at(t: float) -> np.ndarray:
+        if t == 0.0:
+            return start
+        # named, so numpy cannot multiply into an elided temporary as
+        # multiplier * spectrum: complex products are not bitwise
+        # commutative, and every row count must take the same product
+        multiplier = np.exp(1j * t * omega)
+        values = np.fft.irfft(spectrum * multiplier, n=w.p_axis.size, axis=1)
+        _check_drift(w, mass, values.sum())
+        return values
+
+    return at
 
 
 # ------------------------------------------------------------- transforms
@@ -542,19 +628,62 @@ def weyl_density_matrix(w: WignerGrid, x, y):
     ``x`` and ``y`` broadcast; midpoints outside the q axis raise
     :class:`GridError`.
     """
+    mid, sep = _midpoint_and_separation(w, x, y)
+    out = _p_integral(w, _rows_at(w, mid), sep)
+    return out if out.ndim else complex(out)
+
+
+def _midpoint_and_separation(w: WignerGrid, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """((x+y)/2, x-y) as arrays; a midpoint off the q axis raises GridError."""
     xv = np.asarray(x, dtype=float)
     yv = np.asarray(y, dtype=float)
     mid = 0.5 * (xv + yv)
-    sep = xv - yv
     if np.any(mid < w.q_axis[0]) or np.any(mid > w.q_axis[-1]):
         raise GridError(
             "midpoint (x+y)/2 outside the grid's q axis; the kernel there "
             "is not represented"
         )
-    rows = _rows_at(w, mid)  # (..., n_p)
+    return mid, xv - yv
+
+
+def _p_integral(w: WignerGrid, rows: np.ndarray, sep: np.ndarray) -> np.ndarray:
+    """INT dp e^{i p sep/hbar} W(., p) on the grid, for rows (..., n_p)."""
     phases = np.exp(1j * np.multiply.outer(sep, w.p_axis) / w.hbar)
-    out = (rows * phases).sum(axis=-1) * w.dp
-    return out if out.ndim else complex(out)
+    return (rows * phases).sum(axis=-1) * w.dp
+
+
+def _held_kernel_series(
+    h: HamiltonianField,
+    w: WignerGrid,
+    order: BracketOrder | int,
+    x: float,
+    y: float,
+    times: np.ndarray,
+) -> np.ndarray:
+    """rho(x, y) of the held evolution at each of the ``times``.
+
+    Entry i equals weyl_density_matrix(evolve_wigner(h, w, order,
+    times[i], hold_packets=True), x, y), but only the rows the readout
+    reads are propagated: the one row at the midpoint (x + y)/2 when it
+    is a q node, every row otherwise.  Each snapshot then costs one row
+    irfft and one p sum.  Every q row's generator is still range-checked
+    up to the latest time, and the propagated rows' probability drift is
+    checked at every snapshot, each raising :class:`NumericalError`.
+    """
+    mid, sep = _midpoint_and_separation(w, x, y)
+    node = np.flatnonzero(w.q_axis == mid)
+    propagate = _held_propagator(
+        h, w, order, node if node.size else slice(None), float(np.max(times))
+    )
+    kernels = np.empty(len(times), dtype=complex)
+    for i, t in enumerate(times):
+        values = propagate(float(t))
+        if node.size:
+            row = values[0]
+        else:
+            row = _rows_at(WignerGrid(w.q_axis, w.p_axis, values, hbar=w.hbar), mid)
+        kernels[i] = _p_integral(w, row, sep)
+    return kernels
 
 
 def potential_commutator_term(

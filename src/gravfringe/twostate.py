@@ -196,11 +196,18 @@ def coherence_matrix(model: DynamicsModel) -> np.ndarray:
 
 
 def _generator(model: DynamicsModel) -> np.ndarray:
-    """Real 3x3 B with y' = B y for y = (rho_LL, Re rho_LR, Im rho_LR)."""
+    """Real 3x3 B with y' = B y for y = (rho_LL, Re rho_LR, Im rho_LR).
+
+    Raises :class:`NumericalError` when an entry is not finite."""
     g = _as_general(model)
     b = np.zeros((3, 3))
     b[0, 1:] = 2.0 * g.a_lr.real, -2.0 * g.a_lr.imag
     b[1:, 1:] = coherence_matrix(g)
+    if not np.all(np.isfinite(b)):
+        # finite parameters whose sums or doubles overflow
+        raise NumericalError(
+            f"the generator of {model_descriptor(g)} leaves the float range"
+        )
     return b
 
 

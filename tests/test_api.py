@@ -144,8 +144,6 @@ def test_bench_launcher_records_every_traced_layer(tmp_path):
         "oracle.run_validation",
         "phasespace.initial_state",
         "phasespace.field_build",
-        "phasespace.evolve",
-        "phasespace.readout",
         "fringe.read_record",
         "fringe.fit",
         "fringe.least_squares",

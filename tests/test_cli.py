@@ -626,25 +626,58 @@ def test_non_finite_config_value_exits_2_naming_it(
     assert named in capsys.readouterr().err
 
 
+# a growing mode of rate 5 over 1000 s leaves the float range
+GROWING_RECORD = ["simulate", "--model", "general", "--a-lr=0j", "--duration",
+                  "1000", "--samples", "50"]
+
+
 @pytest.mark.parametrize(
-    "key, value, message",
+    "argv, change, message",
     [
-        # Omega overflows to a NaN grid, which must fail the norm check
-        ("quad_curvature", "1e306", "conserving probability"),
+        # Omega overflows on the outer q rows; the held readout propagates
+        # only the row at q = 0, so the generator's range check must fail
+        (["validate-oracle"], ("quad_curvature", "1e306"), "conserving probability"),
         # sigma^2 underflows to 0 in the packet overlap
-        ("packet_width", "1e-300", "division by zero"),
+        (["validate-oracle"], ("packet_width", "1e-300"), "division by zero"),
         # snapshot times collapse and the phase fit's SVD breaks down
-        ("hold_time", "1e-300", "SVD"),
+        (["validate-oracle"], ("hold_time", "1e-300"), "SVD"),
+        (GROWING_RECORD + ["--b-lr=5+1j"], None, "float range"),
+        # the same growth without rotation
+        (GROWING_RECORD + ["--b-lr=5+0j"], None, "float range"),
+        # each flag is finite, but b_lr + b_rl overflows in the generator
+        (["simulate", "--model", "general", "--a-lr=0j", "--b-lr=1e308",
+          "--b-rl=1e308", "--duration", "1", "--samples", "2"], None,
+         "float range"),
     ],
+    ids=["quad_curvature-1e306-conserving probability",
+         "packet_width-1e-300-division by zero", "hold_time-1e-300-SVD",
+         "simulate-growing-rotating", "simulate-growing",
+         "simulate-generator-overflows"],
 )
-def test_numerical_breakdown_exits_3(tmp_path, capsys, key, value, message):
-    path = config_with(tmp_path, "oracle_quadratic.cfg", key, value)
+def test_numerical_breakdown_exits_3(tmp_path, capsys, argv, change, message):
+    if change is not None:
+        path = config_with(tmp_path, "oracle_quadratic.cfg", *change)
+        argv = [*argv, "--config", str(path)]
     with np.errstate(all="ignore"):
-        code = main(["validate-oracle", "--config", str(path),
-                     "--out", str(tmp_path / "out")])
+        code = main([*argv, "--out", str(tmp_path / "out")])
     assert code == 3
     err = capsys.readouterr().err
     assert "numerical failure" in err and message in err
+
+
+def test_failing_fit_covariance_exits_3(tmp_path, capsys, monkeypatch):
+    sim_out = tmp_path / "sim"
+    assert main(["simulate", "--model", "schrodinger", "--duration", "60",
+                 "--out", str(sim_out)]) == 0
+
+    def pinv(matrix):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "pinv", pinv)
+    code = main(["fit", str(sim_out / "record.csv"), "--out", str(tmp_path / "fit")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: fit covariance failed: SVD did not converge" in err
 
 
 SWEEP_STEPS = ["sweep", "--parameter", "d2", "--min", "0.06", "--max", "0.11",
@@ -690,16 +723,17 @@ def _subclasses(cls):
 @pytest.mark.parametrize(
     "error",
     [GravfringeError, *_subclasses(GravfringeError), ArithmeticError,
-     np.linalg.LinAlgError, OSError, MemoryError],
+     OSError, MemoryError],
     ids=lambda error: error.__name__,
 )
 def test_exit_code_follows_from_the_class(tmp_path, capsys, monkeypatch, error):
+    # numpy's LinAlgError is no class of this contract: each site that can
+    # raise it re-raises a NumericalError (test_failing_fit_covariance_exits_3)
     def fail(args, out_dir):
         raise error("injected")
 
     monkeypatch.setitem(cli._DISPATCH, "frequencies", fail)
-    numerical = issubclass(error, (NumericalError, ArithmeticError,
-                                   np.linalg.LinAlgError))
+    numerical = issubclass(error, (NumericalError, ArithmeticError))
     assert main(["frequencies", "--out", str(tmp_path)]) == (3 if numerical else 2)
     assert "injected" in capsys.readouterr().err
 

@@ -8,16 +8,20 @@ acceptance suite.
 import dataclasses
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gravfringe.errors import ConfigParseError, ConfigValidationError, DomainError
 from gravfringe.gravity import two_ball_derivative
+from gravfringe.phasespace import BracketOrder, evolve_wigner, weyl_density_matrix
 from gravfringe.oracle import (
+    _phase_slope,
     OracleConfig,
     default_scaled_config,
     load_oracle_config,
@@ -389,6 +393,98 @@ def test_held_slope_is_the_taylor_partial_sum(n_max):
     assert report.moyal_abs_error == pytest.approx(
         abs(partial - omega_q), rel=0.0, abs=1e-12 * omega_q
     )
+
+
+# ------------------------------------------------------- held row readout
+
+
+def full_grid_phase_slope(cfg, h, w0, order):
+    """``_phase_slope``'s three numbers by whole-grid evolution.
+
+    Every snapshot evolves the whole grid and reads the kernel through
+    the public Weyl transform; then the same unwrap and phase fit.
+    """
+    a = cfg.arm_separation / 2.0
+    times = np.linspace(0.0, cfg.hold_time, cfg.n_snapshots)
+    kernels = [
+        weyl_density_matrix(evolve_wigner(h, w0, order, float(t), hold_packets=True), -a, a)
+        for t in times
+    ]
+    magnitudes = cfg.packet_width * math.sqrt(2.0 * math.pi) * np.abs(kernels)
+    slope = float(np.polyfit(times, np.unwrap(np.angle(kernels)), 1)[0])
+    return slope, float(magnitudes[0]), float(magnitudes[-1])
+
+
+@st.composite
+def valid_oracle_runs(draw):
+    """Configs whose runs pass the initial-state and field checks.
+
+    The stock packets (dx = 8, sigma = 0.25) on varied grids: odd and
+    even n_q, a symmetric q span (0 is a node when n_q is even) or a
+    shifted one (0 is no node), n_p = 512 or a smaller grid whose p span
+    still holds four samples per fringe.
+    """
+    n_p = draw(st.sampled_from([512]) | st.integers(128, 256))
+    half_p = 12.0 + draw(st.floats(0.0, 1.0)) * (n_p * math.pi / 32.0 - 12.0)
+    shift = draw(st.sampled_from([0.0]) | st.floats(-0.5, 0.5))
+    if draw(st.booleans()):
+        g1 = draw(st.floats(100.0, 1000.0))
+        field = {"coupling_left": g1, "coupling_right": draw(st.floats(1.5, 2.5)) * g1,
+                 "dist_left": 20.0, "dist_right": draw(st.floats(25.0, 32.0))}
+    else:
+        field = {"quad_slope": draw(st.floats(-0.1, 0.1)),
+                 "quad_curvature": draw(st.floats(-0.05, 0.05))}
+    probe = OracleConfig(
+        potential="two_ball" if "dist_left" in field else "quadratic",
+        arm_separation=8.0,
+        packet_width=0.25,
+        n_q=draw(st.integers(120, 160)),
+        n_p=n_p,
+        n_max=draw(st.integers(0, 6)),
+        n_snapshots=draw(st.integers(3, 8)),
+        hold_time=1e-9,
+        q_lo=-8.5 + shift,
+        q_hi=8.5 + shift,
+        p_lo=-half_p,
+        p_hi=half_p,
+        **field,
+    )
+    fastest = max(map(abs, probe.predicted_frequencies())) or 1.0
+    limit = min(20.0, math.pi / 2 * (probe.n_snapshots - 1) / fastest)
+    return dataclasses.replace(probe, hold_time=draw(st.floats(0.01, 0.99)) * limit)
+
+
+@settings(max_examples=40, deadline=None)
+@given(valid_oracle_runs())
+def test_row_readout_matches_the_full_grid_route(cfg):
+    # held rows evolve independently, so propagating only the rows the
+    # kernel reads must give the whole grid's numbers: bit for bit on the
+    # 512-point p axes of the stock and benchmark runs, and to rounding on
+    # any grid (a vectorised loop may round a one-row tail differently);
+    # a nulled slope is judged against the larger predicted frequency
+    w0 = cfg.initial_state()
+    h = cfg.field_on(w0.q_axis)
+    for order in (BracketOrder(cfg.n_max), BracketOrder(0)):
+        rows = _phase_slope(cfg, h, w0, order)
+        grid = full_grid_phase_slope(cfg, h, w0, order)
+        if cfg.n_p == 512:
+            assert rows == grid
+        scales = (max(map(abs, cfg.predicted_frequencies())) or 1.0, *grid[1:])
+        for got, want, scale in zip(rows, grid, scales):
+            assert abs(got - want) <= 1e-14 * scale
+
+
+def test_held_run_peaks_below_three_grids():
+    # each snapshot propagates the one row the kernel reads, so no
+    # snapshot allocates a grid; the peak is the initial state's build
+    cfg = nulled_oracle_config(12)
+    tracemalloc.start()
+    try:
+        run_validation(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * cfg.n_q * cfg.n_p * 8
 
 
 def test_unreachable_tolerance_fails_honestly():
