@@ -231,7 +231,8 @@ class _Manifest:
         self._write()
 
     def _write(self) -> None:
-        _write_atomic(self.path, json.dumps(self.data, indent=2) + "\n")
+        with _write_atomic(self.path) as handle:
+            handle.write(json.dumps(self.data, indent=2) + "\n")
 
     def finalize(self, *output_names: str) -> None:
         self.data["outputs"] = list(output_names)
@@ -252,7 +253,8 @@ def _cmd_frequencies(args: argparse.Namespace, out_dir: Path) -> int:
     echo = _parse_flat_document(serialize_config(config), "config")
     manifest = _Manifest(out_dir, "frequencies", echo, None, {})
     report = _render_flat(frequency_report(config).items())
-    _write_atomic(out_dir / "frequencies.txt", report)
+    with _write_atomic(out_dir / "frequencies.txt") as handle:
+        handle.write(report)
     manifest.finalize("frequencies.txt")
     print(report, end="")
     return 0
@@ -386,7 +388,8 @@ def _cmd_sweep(args: argparse.Namespace, out_dir: Path) -> int:
         except GravfringeError:
             row = f"{value:{_FLOAT[1:]}},nan,nan,infeasible"
         rows.append(row)
-    _write_atomic(out_dir / "sweep.csv", "\n".join(rows) + "\n")
+    with _write_atomic(out_dir / "sweep.csv") as handle:
+        handle.write("\n".join(rows) + "\n")
     manifest.finalize("sweep.csv")
     print(f"wrote {out_dir / 'sweep.csv'} ({args.steps} rows)")
     return 0

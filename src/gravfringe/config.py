@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
+from typing import TextIO
 
 from .errors import ConfigParseError, ConfigValidationError, DomainError
 
@@ -217,17 +219,21 @@ def _render_flat(pairs: Iterable[tuple[str, object]]) -> str:
     return "".join(lines)
 
 
-def _write_atomic(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` through ``<name>.tmp`` and a rename.
+@contextmanager
+def _write_atomic(path: str | Path) -> Iterator[TextIO]:
+    """Open ``<name>.tmp`` beside ``path`` for UTF-8 text, then rename.
 
-    The one writer of every file the package produces.  The rename
-    replaces ``path`` in one step, so a write that fails midway leaves
-    any previous file there intact.
+    The one writer of every file the package produces: the body writes
+    to the yielded handle, in one piece or in blocks.  A clean exit
+    renames the temporary file over ``path`` in one step; any exception
+    unlinks it, so a write that fails midway leaves a previous file at
+    ``path`` intact and no ``.tmp`` behind.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with tmp.open("w", encoding="utf-8") as handle:
+            yield handle
         tmp.replace(path)
     finally:
         tmp.unlink(missing_ok=True)

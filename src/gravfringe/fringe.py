@@ -13,7 +13,9 @@ with contrast C, decay rate lambda and fringe frequency omega.  This
 module synthesises such records (optionally with additive Gaussian
 noise), writes and reads them as CSV, and recovers (lambda, omega, C)
 with uncertainties by nonlinear least squares seeded from a
-periodogram.
+periodogram.  The CSV sample table streams both ways: the writer
+formats fixed blocks of rows, and the reader hands the open file to
+numpy's C tokenizer, so neither builds a Python object per sample.
 
 Records are deterministic functions of (model, times, noise_sd, seed):
 the same seed always reproduces the same noise stream, and a noiseless
@@ -23,6 +25,7 @@ record never touches the generator at all.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -143,13 +146,18 @@ def synthesize_record(
     fresh ``default_rng(seed)``; a ``noise_sd`` of zero produces a fully
     deterministic record and records ``seed=None``.  A trajectory that
     overflows the float range (a fast-growing mode over a long record)
-    raises :class:`NumericalError`.
+    raises :class:`NumericalError` and emits no warning; otherwise the
+    trajectory's :class:`CoherenceGrowthWarning` and
+    :class:`PositivityWarning`, if any, are issued from the caller's line.
     """
     if not noise_sd >= 0.0:
         raise ValueError("noise_sd must be non-negative")
     ts = np.asarray(times, dtype=float)
-    # an overflow is reported below, as the non-finite column it leaves
-    with np.errstate(over="ignore", invalid="ignore"):
+    # an overflow is reported below, as the non-finite column it leaves;
+    # the trajectory's warnings wait until the track is known to be finite
+    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings(
+        record=True
+    ) as held:
         population, coherence = spectral_trajectory(model, PLUS_STATE, ts)
         signal = 0.5 + coherence.real
     if not isinstance(model, GeneralLinear):
@@ -160,6 +168,8 @@ def synthesize_record(
                 f"the {name} track of {model_descriptor(model)} leaves the "
                 "float range within the record"
             )
+    for caught in held:
+        warnings.warn(caught.message, stacklevel=2)
     used_seed: int | None = None
     if noise_sd > 0.0:
         used_seed = 0 if seed is None else int(seed)
@@ -177,29 +187,52 @@ def synthesize_record(
 
 # ------------------------------------------------------------------ CSV
 
+#: Rows formatted per write: bounds the text held in memory at once.
+_BLOCK_ROWS = 1024
+
+
 def write_record(record: FringeRecord, path: str | Path) -> None:
     """Write a record as CSV with a one-line metadata header.
 
     Layout: ``# model=...,seed=...,noise_sd=...`` then a column header
-    ``t_s,signal[,population]`` and one row per sample.  Identical
-    records produce byte-identical files.
+    ``t_s,signal[,population]`` and one row per sample, each value in
+    ``%.17g``, which reads back bit-exactly.  Rows are formatted and
+    written in blocks of :data:`_BLOCK_ROWS`, so the text in memory
+    stays bounded whatever the record's length.  Identical records
+    produce byte-identical files.
     """
     names = ["t_s", "signal"]
     columns = [record.times, record.signal]
     if record.population is not None:
         names.append("population")
         columns.append(record.population)
-    lines = [
-        f"# model={record.model},seed={record.seed},noise_sd={record.noise_sd!r}",
-        ",".join(names),
-    ]
-    row_format = ",".join(["%.17g"] * len(columns))
-    lines += [row_format % row for row in zip(*(c.tolist() for c in columns))]
-    _write_atomic(path, "\n".join(lines) + "\n")
+    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
+    with _write_atomic(path) as handle:
+        handle.write(
+            f"# model={record.model},seed={record.seed},"
+            f"noise_sd={record.noise_sd!r}\n{','.join(names)}\n"
+        )
+        for start in range(0, record.times.size, _BLOCK_ROWS):
+            rows = zip(*(c[start : start + _BLOCK_ROWS].tolist() for c in columns))
+            handle.write("".join(row_format % row for row in rows))
 
 
 _HEADER_KEYS = ("model", "seed", "noise_sd")
 _COLUMNS = ["t_s", "signal", "population"]
+
+
+def _first_ragged_line(path: str | Path, width: int) -> tuple[int, int] | None:
+    """(line number, value count) of the first sample line whose count of
+    comma-separated values is not ``width``; None when every line fits.
+
+    Empty lines are skipped, as the table parser skips them.
+    """
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            count = line.count(",") + 1
+            if lineno > 2 and line != "\n" and count != width:
+                return lineno, count
+    return None
 
 
 def read_record(path: str | Path) -> FringeRecord:
@@ -207,38 +240,62 @@ def read_record(path: str | Path) -> FringeRecord:
 
     An unknown or repeated header key, a missing one, and any column
     header other than ``t_s,signal[,population]`` raise
-    :class:`RecordError` naming the key or the column line.
+    :class:`RecordError` naming the key or the column line.  The sample
+    table streams from the open file through numpy's C tokenizer: one
+    row per line, as many comma-separated values as columns, each an
+    ASCII float literal that ``float`` reads to the same bits, with
+    optional whitespace around it; empty lines are skipped.  A table
+    without rows, a line with too few or too many values (naming it)
+    and a value that is not a number raise :class:`RecordError`.
     """
-    text = Path(path).read_text(encoding="utf-8").splitlines()
-    if not text or not text[0].startswith("#"):
-        raise RecordError(f"{path}: missing metadata header line")
-    meta: dict[str, str] = {}
-    for item in text[0].lstrip("#").strip().split(","):
-        key, _, value = item.partition("=")
-        key = key.strip()
-        if key not in _HEADER_KEYS:
-            raise RecordError(f"{path}: unknown header key {key!r}")
-        if key in meta:
-            raise RecordError(f"{path}: repeated header key {key!r}")
-        meta[key] = value.strip()
-    for required in _HEADER_KEYS:
-        if required not in meta:
-            raise RecordError(f"{path}: header missing {required!r}")
-    if len(text) < 2:
-        raise RecordError(f"{path}: missing column header")
-    columns = text[1].split(",")
-    if columns not in (_COLUMNS[:2], _COLUMNS):
-        raise RecordError(
-            f"{path}: expected columns t_s,signal[,population], got {text[1]!r}"
-        )
-    has_population = columns == _COLUMNS
-    rows = [line.split(",") for line in text[2:] if line.strip()]
-    try:
-        data = np.array([[float(v) for v in row] for row in rows])
-    except ValueError as exc:
-        raise RecordError(f"{path}: non-numeric sample value ({exc})") from None
-    if data.ndim != 2 or data.shape[1] != len(columns):
-        raise RecordError(f"{path}: ragged or empty sample table")
+    with open(path, encoding="utf-8") as handle:
+        first = handle.readline()
+        if not first.startswith("#"):
+            raise RecordError(f"{path}: missing metadata header line")
+        meta: dict[str, str] = {}
+        for item in first.lstrip("#").strip().split(","):
+            key, _, value = item.partition("=")
+            key = key.strip()
+            if key not in _HEADER_KEYS:
+                raise RecordError(f"{path}: unknown header key {key!r}")
+            if key in meta:
+                raise RecordError(f"{path}: repeated header key {key!r}")
+            meta[key] = value.strip()
+        for required in _HEADER_KEYS:
+            if required not in meta:
+                raise RecordError(f"{path}: header missing {required!r}")
+        second = handle.readline()
+        if not second:
+            raise RecordError(f"{path}: missing column header")
+        column_line = second.removesuffix("\n")
+        columns = column_line.split(",")
+        if columns not in (_COLUMNS[:2], _COLUMNS):
+            raise RecordError(
+                f"{path}: expected columns t_s,signal[,population], got "
+                f"{column_line!r}"
+            )
+        has_population = columns == _COLUMNS
+        error = None
+        # a header-only file is reported below, not as loadtxt's warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                data = np.loadtxt(handle, delimiter=",", ndmin=2, comments=None)
+            except UnicodeDecodeError:  # a ValueError too; main names the file
+                raise
+            except ValueError as exc:
+                error = exc
+    if error is None and data.shape[0] == 0:
+        raise RecordError(f"{path}: empty sample table")
+    if error is not None or data.shape[1] != len(columns):
+        ragged = _first_ragged_line(path, len(columns))
+        if ragged is not None:
+            lineno, count = ragged
+            raise RecordError(
+                f"{path} line {lineno}: ragged sample table (the column "
+                f"header names {len(columns)} columns, the line holds {count})"
+            )
+        raise RecordError(f"{path}: non-numeric sample value ({error})")
     try:
         seed = None if meta["seed"] == "None" else int(meta["seed"])
     except ValueError:
@@ -464,7 +521,8 @@ def write_fit_result(fit: FitResult, path: str | Path) -> None:
     """Serialise a fit as a flat key/value text block."""
     pairs = [(name, getattr(fit, name)) for name in _SCALAR_FIELDS]
     pairs += [(key, fit.covariance[ij]) for ij, key in _COV_KEYS.items()]
-    _write_atomic(path, _render_flat(pairs))
+    with _write_atomic(path) as handle:
+        handle.write(_render_flat(pairs))
 
 
 def read_fit_result(path: str | Path) -> FitResult:

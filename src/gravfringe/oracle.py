@@ -441,4 +441,5 @@ def run_validation(config: OracleConfig, tolerance: float = 0.05) -> OracleRepor
 
 def write_report(report: OracleReport, path: str | Path) -> None:
     """Write the validation report as flat key/value text."""
-    _write_atomic(path, "\n".join(report.lines()) + "\n")
+    with _write_atomic(path) as handle:
+        handle.write("\n".join(report.lines()) + "\n")

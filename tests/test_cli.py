@@ -6,7 +6,10 @@ outputs are observable without subprocess overhead.
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -447,6 +450,39 @@ def test_fit_non_finite_record_exits_2(tmp_path, capsys):
     assert "signal" in capsys.readouterr().err
 
 
+RECORD_HEADER = "# model=x,seed=None,noise_sd=0.01\nt_s,signal\n"
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ("0,0.5\n1\n", " line 4: ragged sample table (the column header "
+         "names 2 columns, the line holds 1)"),
+        ("1\n", " line 3: ragged sample table (the column header names 2 "
+         "columns, the line holds 1)"),
+        ("", ": empty sample table"),
+    ],
+    ids=["short-row", "one-value-table", "header-only"],
+)
+def test_fit_malformed_table_exits_2_with_one_line(
+    tmp_path, capsys, recwarn, table, message
+):
+    record = tmp_path / "record.csv"
+    record.write_text(RECORD_HEADER + table)
+    assert main(["fit", str(record), "--out", str(tmp_path / "fit")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"gravfringe: {record}{message}"]
+    assert not recwarn.list
+
+
+def test_fit_bad_utf8_past_the_read_buffer_exits_2(tmp_path, capsys):
+    record = tmp_path / "record.csv"
+    rows = "".join(f"{i},0.5\n" for i in range(20000))
+    assert len(rows) > 65536
+    record.write_bytes((RECORD_HEADER + rows).encode() + b"20000,0.\xff5\n")
+    assert main(["fit", str(record), "--out", str(tmp_path / "fit")]) == 2
+    assert f"cannot decode {record}" in capsys.readouterr().err
+
+
 # ------------------------------------------------------ exit-code contract
 
 
@@ -663,6 +699,36 @@ def test_numerical_breakdown_exits_3(tmp_path, capsys, argv, change, message):
     assert code == 3
     err = capsys.readouterr().err
     assert "numerical failure" in err and message in err
+
+
+def run_cli(*argv):
+    """``python -m gravfringe.cli`` in a fresh process: warnings reach stderr."""
+    src = Path(cli.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "gravfringe.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+
+
+@pytest.mark.parametrize("b_lr", ["5+1j", "5+0j"], ids=["rotating", "still"])
+def test_overflowing_simulate_prints_only_the_failure(tmp_path, b_lr):
+    proc = run_cli(*GROWING_RECORD, f"--b-lr={b_lr}", "--out", str(tmp_path))
+    assert proc.returncode == 3
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("gravfringe: numerical failure: the signal track of")
+    assert line.endswith("leaves the float range within the record")
+
+
+def test_growing_simulate_that_succeeds_still_warns(tmp_path):
+    proc = run_cli("simulate", "--model", "general", "--a-lr=0j", "--b-lr=0.05+0.2j",
+                   "--duration", "10", "--samples", "50", "--noise-sd", "0.01",
+                   "--out", str(tmp_path))
+    assert proc.returncode == 0
+    assert "CoherenceGrowthWarning: coherence generator has a growing mode" in (
+        proc.stderr
+    )
 
 
 def test_failing_fit_covariance_exits_3(tmp_path, capsys, monkeypatch):

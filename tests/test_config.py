@@ -144,8 +144,8 @@ def test_failed_write_leaves_previous_file_intact(tmp_path):
     before = path.read_bytes()
     # a lone surrogate has no encoding, so this write fails after the
     # target would have been opened and truncated
-    with pytest.raises(UnicodeEncodeError):
-        _write_atomic(path, "particle_mass_amu = 1.0\n\udc80\n")
+    with pytest.raises(UnicodeEncodeError), _write_atomic(path) as handle:
+        handle.write("particle_mass_amu = 1.0\n\udc80\n")
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["geometry.cfg"]
 

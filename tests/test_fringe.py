@@ -1,5 +1,8 @@
 """Record synthesis, CSV round-trips, and damped-fringe estimation."""
 
+import contextlib
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.signal
@@ -7,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gravfringe.errors import ConfigParseError, RecordError
+from gravfringe import fringe
+from gravfringe.errors import (
+    CoherenceGrowthWarning,
+    ConfigParseError,
+    NumericalError,
+    RecordError,
+)
 from gravfringe.fringe import (
     FitResult,
     FringeRecord,
@@ -39,6 +48,15 @@ def test_synthesize_general_includes_population():
     assert rec.population is not None
     assert rec.population[0] == pytest.approx(0.5)
     assert abs(rec.population[-1] - 0.5) > 1e-4  # population actually moved
+
+
+def test_synthesize_warns_only_for_a_finite_track(recwarn):
+    ts = np.linspace(0.0, 1000.0, 50)
+    with pytest.raises(NumericalError, match="float range"):
+        synthesize_record(GeneralLinear(a_lr=0j, b_lr=5 + 1j), ts)
+    assert not recwarn.list
+    with pytest.warns(CoherenceGrowthWarning):
+        synthesize_record(GeneralLinear(a_lr=0j, b_lr=0.05 + 0.2j), ts[:5], 0.01)
 
 
 def test_synthesize_deterministic_by_seed():
@@ -161,6 +179,165 @@ def test_read_rejects_malformed(tmp_path):
     path.write_text("# model=x,seed=None,noise_sd=0.0\nt_s,signal\n0,oops\n1,2\n")
     with pytest.raises(RecordError, match="numeric"):
         read_record(path)
+
+
+HEADER = "# model=x,seed=None,noise_sd=0.1\nt_s,signal\n"
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ("0,0.5\n1,0.5,0.5\n", "line 4: ragged sample table"),
+        ("0,0.5,0.5\n1,0.5,0.5\n", "line 3: ragged sample table"),
+        ("0,0.5\n# note\n1,0.5\n", "line 4: ragged sample table"),
+        ("0,0.5\n#1,0.5\n", "non-numeric"),
+        ("0,0.5\n   \n1,0.5\n", "line 4: ragged sample table"),
+        ("0,0.5\n1_0,0.5\n", "non-numeric"),
+        ("\n\n", "empty sample table"),
+    ],
+    ids=["long-row", "wide-table", "comment-line", "comment-row",
+         "whitespace-line", "underscore-literal", "blank-lines"],
+)
+def test_read_rejects_a_malformed_table_naming_it(tmp_path, recwarn, table, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(HEADER + table)
+    with pytest.raises(RecordError, match=message):
+        read_record(path)
+    assert not recwarn.list  # loadtxt's "input contained no data" stays inside
+
+
+def test_read_skips_empty_lines_and_accepts_every_line_ending(tmp_path):
+    path = tmp_path / "rec.csv"
+    for newline in ("\n", "\r\n", "\r"):
+        text = HEADER + "0, 0.25\n\n1,\t0.75 \n"
+        path.write_bytes(text.replace("\n", newline).encode())
+        back = read_record(path)
+        assert back.times.tolist() == [0.0, 1.0]
+        assert back.signal.tolist() == [0.25, 0.75]
+
+
+def reference_record_text(record):
+    """The whole file as one string: the writer's output before it streamed."""
+    columns = [record.times, record.signal]
+    names = ["t_s", "signal"]
+    if record.population is not None:
+        columns.append(record.population)
+        names.append("population")
+    lines = [
+        f"# model={record.model},seed={record.seed},noise_sd={record.noise_sd!r}",
+        ",".join(names),
+    ]
+    row_format = ",".join(["%.17g"] * len(columns))
+    lines += [row_format % row for row in zip(*(c.tolist() for c in columns))]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [2, fringe._BLOCK_ROWS, 2 * fringe._BLOCK_ROWS + 1])
+@pytest.mark.parametrize("general", [False, True], ids=["two-column", "population"])
+def test_block_writer_matches_the_one_string_reference(tmp_path, n, general):
+    ts = np.linspace(0.0, 90.0, n)
+    model = GeneralLinear(a_lr=0.02 + 0.01j, b_lr=-0.08 + 0.25j) if general else (
+        TilloyDiosi(0.05, 0.22))
+    rec = synthesize_record(model, ts, noise_sd=0.01, seed=5)
+    path = tmp_path / "record.csv"
+    write_record(rec, path)
+    assert path.read_bytes() == reference_record_text(rec).encode()
+
+
+#: values at the edges of the float64 range and of its subnormals
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+               2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.1, 1.0 / 3.0]
+
+
+@st.composite
+def float_tokens(draw):
+    """A float literal ``float`` reads: shortest repr, %.17g, or any 17 digits."""
+    kind = draw(st.sampled_from(["repr", "%.17g", "digits"]))
+    if kind == "digits":
+        digits = draw(st.text("0123456789", min_size=17, max_size=17))
+        sign = draw(st.sampled_from(["", "-", "+"]))
+        exponent = draw(st.integers(-340, 308))
+        return f"{sign}{digits[0]}.{digits[1:]}e{exponent}"
+    value = draw(st.sampled_from(EDGE_VALUES) | st.floats(allow_nan=False,
+                                                          allow_infinity=False))
+    return repr(value) if kind == "repr" else "%.17g" % value
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda width: st.lists(
+    st.lists(float_tokens(), min_size=width - 1, max_size=width - 1),
+    min_size=1, max_size=30)))
+def test_parsed_values_are_float_of_the_token_bit_for_bit(tmp_path_factory, table):
+    # the time column is a plain count, so only the drawn columns vary
+    names = "t_s,signal" if len(table[0]) == 1 else "t_s,signal,population"
+    rows = [",".join([str(i), *tokens]) for i, tokens in enumerate(table, start=1)]
+    path = tmp_path_factory.mktemp("tokens") / "record.csv"
+    path.write_text("# model=x,seed=None,noise_sd=1.0\n" + names + "\n"
+                    + "\n".join(["0" + ",0" * len(table[0]), *rows]) + "\n")
+    expected = np.array([[0.0] * len(table[0])]
+                        + [[float(t) for t in tokens] for tokens in table])
+    if not np.all(np.isfinite(expected)):  # 17 digits past the largest float
+        with pytest.raises(RecordError, match="non-finite"):
+            read_record(path)
+        return
+    back = read_record(path)
+    parsed = [back.signal] + ([back.population] if back.population is not None else [])
+    assert np.stack(parsed, axis=1).tobytes() == expected.tobytes()
+
+
+def test_failed_write_leaves_the_previous_record_and_no_tmp(tmp_path, monkeypatch):
+    path = tmp_path / "record.csv"
+    old = synthesize_record(Schrodinger(0.3), np.linspace(0.0, 60.0, 50))
+    write_record(old, path)
+    before = path.read_bytes()
+    real = fringe._write_atomic
+
+    class FailingThirdWrite:
+        """A handle whose third write fails: the header and one block landed."""
+
+        def __init__(self, handle):
+            self.handle, self.writes = handle, 0
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes == 3:
+                raise OSError("No space left on device")
+            return self.handle.write(text)
+
+    @contextlib.contextmanager
+    def failing(target):
+        with real(target) as handle:
+            yield FailingThirdWrite(handle)
+
+    monkeypatch.setattr(fringe, "_write_atomic", failing)
+    longer = synthesize_record(
+        Schrodinger(0.3), np.linspace(0.0, 60.0, 3 * fringe._BLOCK_ROWS)
+    )
+    with pytest.raises(OSError, match="No space"):
+        write_record(longer, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["record.csv"]
+
+
+@pytest.mark.parametrize("direction", ["write", "read"])
+def test_record_io_peaks_below_four_times_the_array_bytes(tmp_path, direction):
+    ts = np.linspace(0.0, 120.0, 20000)
+    model = GeneralLinear(a_lr=0.005 + 0.004j, b_lr=-0.05 + 0.22j)
+    rec = synthesize_record(model, ts, noise_sd=0.02, seed=12)
+    path = tmp_path / "record.csv"
+    write_record(rec, path)
+    array_bytes = 3 * ts.nbytes
+    tracemalloc.start()
+    try:
+        if direction == "write":
+            write_record(rec, path)
+        else:
+            read_record(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * array_bytes, f"{direction} peak {peak} B"
 
 
 def test_fit_recovers_noiseless_parameters():
