@@ -221,17 +221,34 @@ _HEADER_KEYS = ("model", "seed", "noise_sd")
 _COLUMNS = ["t_s", "signal", "population"]
 
 
-def _first_ragged_line(path: str | Path, width: int) -> tuple[int, int] | None:
-    """(line number, value count) of the first sample line whose count of
-    comma-separated values is not ``width``; None when every line fits.
+def _first_bad_line(path: str | Path, width: int) -> str | None:
+    """Where the sample table first breaks, as "line N: ..." or "line N,
+    column J: ..."; None when every line parses.
 
-    Empty lines are skipped, as the table parser skips them.
+    A line breaks when its count of comma-separated values is not
+    ``width``, or when numpy's table parser, fed that line alone, rejects
+    one of its values.  Empty lines are skipped, as the table parser
+    skips them.
     """
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
+            if lineno <= 2 or line == "\n":
+                continue
             count = line.count(",") + 1
-            if lineno > 2 and line != "\n" and count != width:
-                return lineno, count
+            if count != width:
+                return (
+                    f"line {lineno}: ragged sample table (the column header "
+                    f"names {width} columns, the line holds {count})"
+                )
+            for column in range(width):
+                try:
+                    np.loadtxt([line], delimiter=",", comments=None, usecols=column)
+                except ValueError:
+                    value = line.split(",")[column].strip()
+                    return (
+                        f"line {lineno}, column {column + 1}: non-numeric "
+                        f"sample value {value!r}"
+                    )
     return None
 
 
@@ -245,8 +262,9 @@ def read_record(path: str | Path) -> FringeRecord:
     row per line, as many comma-separated values as columns, each an
     ASCII float literal that ``float`` reads to the same bits, with
     optional whitespace around it; empty lines are skipped.  A table
-    without rows, a line with too few or too many values (naming it)
-    and a value that is not a number raise :class:`RecordError`.
+    without rows, a line with too few or too many values and a value
+    that is not a number raise :class:`RecordError`, naming the first
+    such line (and the value's column).
     """
     with open(path, encoding="utf-8") as handle:
         first = handle.readline()
@@ -288,13 +306,9 @@ def read_record(path: str | Path) -> FringeRecord:
     if error is None and data.shape[0] == 0:
         raise RecordError(f"{path}: empty sample table")
     if error is not None or data.shape[1] != len(columns):
-        ragged = _first_ragged_line(path, len(columns))
-        if ragged is not None:
-            lineno, count = ragged
-            raise RecordError(
-                f"{path} line {lineno}: ragged sample table (the column "
-                f"header names {len(columns)} columns, the line holds {count})"
-            )
+        where = _first_bad_line(path, len(columns))
+        if where is not None:
+            raise RecordError(f"{path} {where}")
         raise RecordError(f"{path}: non-numeric sample value ({error})")
     try:
         seed = None if meta["seed"] == "None" else int(meta["seed"])
@@ -404,7 +418,9 @@ def _envelope_seed(
     """(lambda0, contrast0) from the analytic-signal envelope.
 
     Log-linear regression of the Hilbert envelope over the middle of
-    the record, clipped to non-negative decay.
+    the record, clipped to non-negative decay.  A regression that
+    overflows or loses rank (times near 1e153 square past the largest
+    float) raises :class:`NumericalError`.
     """
     detrended = signal - signal.mean()
     envelope = np.abs(_analytic_signal(detrended))
@@ -412,10 +428,14 @@ def _envelope_seed(
     inner = slice(n // 10, n - n // 10 or None)
     t_in = times[inner]
     env_in = np.clip(envelope[inner], 1e-12, None)
-    try:
-        slope, intercept = np.polyfit(t_in, np.log(env_in), 1)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"envelope seed fit failed: {exc}") from None
+    with warnings.catch_warnings(), np.errstate(over="raise"):
+        warnings.simplefilter("error", np.exceptions.RankWarning)
+        try:
+            slope, intercept = np.polyfit(t_in, np.log(env_in), 1)
+        except (
+            np.linalg.LinAlgError, np.exceptions.RankWarning, FloatingPointError
+        ) as exc:
+            raise NumericalError(f"envelope seed fit failed: {exc}") from None
     lam0 = max(-float(slope), 0.0)
     contrast0 = float(np.clip(2.0 * math.exp(intercept), 1e-3, 2.0))
     return lam0, contrast0
@@ -442,10 +462,6 @@ def fit_damped_fringe(record: FringeRecord) -> FitResult:
     times = record.times
     signal = record.signal
     omega0 = _periodogram_peak(times, signal)
-    lam0, contrast0 = _envelope_seed(times, signal)
-    # phase from the dominant quadrature at t approx times[0]
-    rotated = (signal - signal.mean()) * np.exp(-1j * omega0 * times)
-    phase0 = float(-np.angle(np.mean(rotated)))
     if omega0 <= 0.0:
         raise RecordError("periodogram found no positive frequency")
     periods = record.span * omega0 / (2.0 * math.pi)
@@ -454,6 +470,10 @@ def fit_damped_fringe(record: FringeRecord) -> FitResult:
             f"record spans {periods:.2f} fringe periods at the seed frequency; "
             "at least 2 are needed to separate decay from frequency"
         )
+    lam0, contrast0 = _envelope_seed(times, signal)
+    # phase from the dominant quadrature at t approx times[0]
+    rotated = (signal - signal.mean()) * np.exp(-1j * omega0 * times)
+    phase0 = float(-np.angle(np.mean(rotated)))
 
     def residuals(params: np.ndarray) -> np.ndarray:
         return _fringe(params, times) - signal

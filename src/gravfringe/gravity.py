@@ -1,44 +1,36 @@
-"""Two-ball gravitational potential and interference phase frequencies.
+"""The two potentials the package knows, and the interference frequencies.
 
-The probe particle moves on the axis through both ball centres.  With
-the left ball centre at ``-d1`` and the right at ``+d2``, a particle at
-position ``x`` (midpoint at the origin) feels
+Each potential kind is one private frozen value, and every caller reads
+it: :class:`_TwoBall` (the experiment) and :class:`_Quadratic` (the
+oracle's control case, for which classical and quantum transport agree
+exactly).  A value gives two views:
 
-    V(x) = -g1/(d1 + x) - g2/(d2 - x),      g_i = G m M_i,
+* ``derivative(x, order)``, the closed-form V^(k) for k >= 0 (k = 0 is
+  V itself), which the phase-space field samples on its q axis;
+* ``frequencies(dx, hbar)``, the pair (omega_C, omega_Q) of arms at
+  +-dx/2: omega_C = dx V'(0) / hbar is driven by the force at the
+  midpoint, omega_Q = (V(dx/2) - V(-dx/2)) / hbar by the potential
+  difference between the arms.  Each comes from its reduced closed form
+  rather than from two values of V, which would lose digits on nulled
+  geometries.
 
-valid on the open interval (-d1, d2).  All derivatives are closed-form:
+The two frequencies differ because the two-ball potential is
+anharmonic; equating them is exactly the question of whether gravity
+pulls on the local probability density (classical response) or on the
+amplitudes at the two arms (quantum response).  Either frequency can be
+nulled by choosing the ball distances, and the two null conditions are
+distinct whenever the ball masses differ -- that distinctness is what
+makes the geometry a discriminating measurement rather than a
+calibration.
 
-    V^(k)(x) = -g1 (-1)^k k!/(d1 + x)^(k+1) - g2 k!/(d2 - x)^(k+1).
-
-Two phase frequencies of the arm coherence follow from this potential:
-
-* the classical frequency, driven by the force at the midpoint,
-
-      omega_C = dx * V'(0) / hbar,
-
-* the quantum frequency, driven by the potential difference between
-  the arm positions +-dx/2,
-
-      omega_Q = (V(dx/2) - V(-dx/2)) / hbar.
-
-They differ because the potential is anharmonic; equating them is
-exactly the question of whether gravity pulls on the local probability
-density (classical response) or on the amplitudes at the two arms
-(quantum response).  Either frequency can be nulled by choosing the
-ball distances, and the two null conditions are distinct whenever the
-ball masses differ -- that distinctness is what makes the geometry a
-discriminating measurement rather than a calibration.
-
-The units-free helper ``two_ball_derivative`` evaluates V^(k) for any
-k >= 0 (k = 0 is the potential itself); it takes the couplings ``g_i``
-directly and builds the scaled phase-space oracle's field.  The two
-frequencies reduce to one closed form, which the config-facing functions
-evaluate in SI units and the oracle in its own units.
+One value serves every unit system: the config-facing functions below
+build it in SI units and the oracle in its own nondimensional units.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,94 +45,120 @@ __all__ = [
 ]
 
 
-def _check_domain(x, d1: float, d2: float):
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= -d1) or np.any(x >= d2):
-        raise DomainError(
-            f"position outside the open interval (-{d1!r}, {d2!r}) "
-            "between the ball centres"
+@dataclass(frozen=True)
+class _TwoBall:
+    """V(x) = -g1/(d1 + x) - g2/(d2 - x), with couplings g_i = unit * w_i.
+
+    The left ball centre sits at -d1 and the right at +d2, the midpoint
+    of the arms at the origin; V is defined on the open interval
+    (-d1, d2).  SI values keep G m apart from the ball masses (weights
+    M_i, ``unit = G m``), so omega's scale is ((G m) dx)/hbar; folding
+    G m into the weights would move omega's last bits.  Oracle values
+    take the couplings as weights and ``unit = 1.0``, for which
+    ``1.0 * x`` is exact.
+    """
+
+    w1: float
+    w2: float
+    d1: float
+    d2: float
+    unit: float = 1.0
+
+    def derivative(self, x, order: int):
+        """V^(order) at ``x`` (a scalar or an array; the return matches).
+
+        Closed form for orders 0..170, since 171! is past the largest
+        float; any other order raises ``ValueError``.  Positions at or
+        beyond a ball centre raise :class:`DomainError` (the potential
+        diverges there and the point particle model has already failed
+        at the ball surface).
+        """
+        if not 0 <= order <= 170:
+            raise ValueError(f"derivative order must lie in 0..170, got {order!r}")
+        xv = np.asarray(x, dtype=float)
+        d1, d2 = self.d1, self.d2
+        if np.any(xv <= -d1) or np.any(xv >= d2):
+            raise DomainError(
+                f"position outside the open interval (-{d1!r}, {d2!r}) "
+                "between the ball centres"
+            )
+        k = order
+        sign = -1.0 if k % 2 else 1.0  # (-1)^k
+        fact = float(math.factorial(k))
+        g1, g2 = self.unit * self.w1, self.unit * self.w2
+        with np.errstate(over="ignore"):
+            # a far ball's power overflows to inf, and its term is then 0
+            out = -g1 * sign * fact / (d1 + xv) ** (k + 1) - g2 * fact / (d2 - xv) ** (k + 1)
+        return out if out.ndim else float(out)
+
+    def frequencies(self, dx: float, hbar: float) -> tuple[float, float]:
+        """(omega_C, omega_Q), each ball centre clearing the arms (d_i > dx/2)."""
+        scale = self.unit * dx / hbar
+        quarter = dx**2 / 4.0
+        w1, w2, d1, d2 = self.w1, self.w2, self.d1, self.d2
+        return (
+            scale * (w1 / d1**2 - w2 / d2**2),
+            scale * (w1 / (d1**2 - quarter) - w2 / (d2**2 - quarter)),
         )
-    return x
+
+
+@dataclass(frozen=True)
+class _Quadratic:
+    """V(x) = curvature * x^2 + slope * x: V^(k) is exactly 0 for k >= 3."""
+
+    curvature: float
+    slope: float
+
+    def derivative(self, x, order: int):
+        """V^(order) at ``x`` (a scalar or an array; the return matches)."""
+        xv = np.asarray(x, dtype=float)
+        if order == 0:
+            out = self.curvature * xv**2 + self.slope * xv
+        elif order == 1:
+            out = 2.0 * self.curvature * xv + self.slope
+        else:
+            out = np.full_like(xv, 2.0 * self.curvature if order == 2 else 0.0)
+        return out if out.ndim else float(out)
+
+    def frequencies(self, dx: float, hbar: float) -> tuple[float, float]:
+        """(omega_C, omega_Q), which coincide: V' is linear."""
+        omega = dx * self.slope / hbar
+        return omega, omega
 
 
 def two_ball_derivative(x, g1: float, g2: float, d1: float, d2: float, order: int = 1):
     """``order``-th spatial derivative of the two-ball potential.
 
-    Closed form for orders 0..170, since 171! is past the largest float;
-    any other order raises ``ValueError``.  ``order=0`` is the potential
-    energy -g1/(d1+x) - g2/(d2-x) itself.  ``x`` may be a scalar or an
-    array; the return matches.  Positions at or beyond a ball centre raise
-    :class:`DomainError` (the potential diverges there and the point
-    particle model has already failed at the ball surface).
+    ``order=0`` is the potential energy -g1/(d1+x) - g2/(d2-x) itself;
+    the couplings ``g_i`` are taken as given, in any units.  Orders and
+    positions are checked as :meth:`_TwoBall.derivative` checks them.
     """
-    if not 0 <= order <= 170:
-        raise ValueError(f"derivative order must lie in 0..170, got {order!r}")
-    xv = _check_domain(x, d1, d2)
-    k = order
-    sign = -1.0 if k % 2 else 1.0  # (-1)^k
-    fact = float(math.factorial(k))
-    with np.errstate(over="ignore"):
-        # a far ball's power overflows to inf, and its term is then 0
-        out = -g1 * sign * fact / (d1 + xv) ** (k + 1) - g2 * fact / (d2 - xv) ** (k + 1)
-    return out if out.ndim else float(out)
+    return _TwoBall(g1, g2, d1, d2).derivative(x, order)
 
 
-def _frequencies(
-    scale: float, w1: float, w2: float, d1: float, d2: float, dx: float
-) -> tuple[float, float]:
-    """(omega_C, omega_Q) of a two-ball field, in the units ``scale`` sets.
-
-    The one home of the reduced closed forms
-
-        omega_C = scale * (w1/d1^2 - w2/d2^2),
-        omega_Q = scale * (w1/(d1^2 - dx^2/4) - w2/(d2^2 - dx^2/4)),
-
-    which are dx V'(0) / hbar and (V(dx/2) - V(-dx/2)) / hbar for
-    ``scale = dx/hbar`` and weights ``w_i = g_i``.  SI callers pass
-    ``scale = G m dx / hbar`` with the ball masses as weights.  Each ball
-    centre must clear the arms (d_i > dx/2).
-    """
-    quarter = dx**2 / 4.0
-    return (
-        scale * (w1 / d1**2 - w2 / d2**2),
-        scale * (w1 / (d1**2 - quarter) - w2 / (d2**2 - quarter)),
-    )
-
-
-def _si_frequencies(config: ExperimentConfig) -> tuple[float, float]:
-    """(omega_C, omega_Q) of a configuration, rad/s."""
+def _si_two_ball(config: ExperimentConfig) -> _TwoBall:
+    """A configuration's potential in SI units (joules, metres)."""
     c = config
-    return _frequencies(
-        G * c.particle_mass * c.arm_separation / HBAR,
-        c.mass_left,
-        c.mass_right,
-        c.dist_left,
-        c.dist_right,
-        c.arm_separation,
+    return _TwoBall(
+        c.mass_left, c.mass_right, c.dist_left, c.dist_right, unit=G * c.particle_mass
     )
 
 
 def omega_classical(config: ExperimentConfig) -> float:
-    """Classical fringe frequency, rad/s.
+    """Classical fringe frequency dx V'(0) / hbar, rad/s.
 
-    omega_C = (G m dx / hbar) * (M1/d1^2 - M2/d2^2), the arm-separation
-    times the midpoint force over hbar.  Positive when the left ball
-    dominates.
+    Positive when the left ball dominates.
     """
-    return _si_frequencies(config)[0]
+    return _si_two_ball(config).frequencies(config.arm_separation, HBAR)[0]
 
 
 def omega_quantum(config: ExperimentConfig) -> float:
-    """Quantum fringe frequency, rad/s.
-
-    omega_Q = (V(dx/2) - V(-dx/2)) / hbar, which reduces to
-
-        (G m dx / hbar) * (M1/(d1^2 - dx^2/4) - M2/(d2^2 - dx^2/4)).
+    """Quantum fringe frequency (V(dx/2) - V(-dx/2)) / hbar, rad/s.
 
     Requires each ball centre to clear the arms (d_i > dx/2), which
     configuration validation already guarantees.
     """
-    return _si_frequencies(config)[1]
+    return _si_two_ball(config).frequencies(config.arm_separation, HBAR)[1]
 
 
 def _classical_null(d_fixed: float, m_fixed: float, m_moved: float) -> float:

@@ -3,10 +3,11 @@
 The physical cesium-scale parameters put ~10^30 interference-fringe
 oscillations across any storable momentum grid, so the phase-space
 check runs in nondimensionalized units (hbar = 1, order-unity lengths)
-where the fringe ridge is resolvable.  The argument being validated is
-scale-covariant: if the reduction from full phase-space transport to
-the two-frequency picture holds structurally at these parameters, the
-SI frequencies computed by :mod:`gravfringe.gravity` inherit it.
+where the fringe ridge is resolvable.  Carrying the result over to the
+SI frequencies of :mod:`gravfringe.gravity` rests on scale covariance,
+of which only gravity's half is tested so far (its frequencies scale as
+1/length and as the ball weights); no run yet maps an experiment onto
+these units or rescales the grid run.
 
 A validation run evolves the held two-packet state twice — once with
 classical transport only, once with the quantum-corrected bracket —
@@ -34,7 +35,7 @@ from .config import (
     _write_atomic,
 )
 from .errors import ConfigParseError, ConfigValidationError, NumericalError
-from .gravity import _frequencies
+from .gravity import _Quadratic, _TwoBall
 from .phasespace import (
     BracketOrder,
     HamiltonianField,
@@ -54,14 +55,23 @@ __all__ = [
 
 TWO_BALL = "two_ball"
 QUADRATIC = "quadratic"
-_POTENTIAL_KINDS = (TWO_BALL, QUADRATIC)
+#: kind -> (potential value, HamiltonianField constructor, document keys in
+#: the argument order of both).  The constructor is named, not bound, and
+#: looked up on the class at call time, so a replacement installed after
+#: import (the benchmark launcher's traced wrapper) is the one called.
+_KINDS = {
+    TWO_BALL: (
+        _TwoBall,
+        "from_two_ball",
+        ("coupling_left", "coupling_right", "dist_left", "dist_right"),
+    ),
+    QUADRATIC: (_Quadratic, "from_quadratic", ("quad_curvature", "quad_slope")),
+}
 
 #: Coherence of the prepared state; 0.5 is the pure equal superposition,
 #: giving maximal fringe contrast for the phase extraction.
 INITIAL_COHERENCE = 0.5
 
-_TWO_BALL_KEYS = ("coupling_left", "coupling_right", "dist_left", "dist_right")
-_QUADRATIC_KEYS = ("quad_curvature", "quad_slope")
 #: Allowed range of each integer key.  n_max stops at 84 because the
 #: generator divides by (2 n_max + 1)!, and 171! is past the largest float.
 _INT_RANGES = {
@@ -108,10 +118,10 @@ class OracleConfig:
     p_hi: float | None = None
 
     def __post_init__(self) -> None:
-        if self.potential not in _POTENTIAL_KINDS:
+        if self.potential not in _KINDS:
             raise ConfigValidationError(
                 f"unknown potential kind {self.potential!r}; "
-                f"expected one of {', '.join(_POTENTIAL_KINDS)}"
+                f"expected one of {', '.join(_KINDS)}"
             )
         for f in fields(self):
             # ahead of the range checks, which would misname an inf (the
@@ -132,22 +142,22 @@ class OracleConfig:
                 raise ConfigValidationError(
                     f"{name!r} must lie in {low}..{high}, got {value!r}"
                 )
-        if self.potential == TWO_BALL:
-            required, forbidden = _TWO_BALL_KEYS, _QUADRATIC_KEYS
-        else:
-            required, forbidden = ("quad_slope",), _TWO_BALL_KEYS
-        for name in required:
+        if self.potential == QUADRATIC and self.quad_curvature is None:
+            object.__setattr__(self, "quad_curvature", 0.0)
+        keys = _KINDS[self.potential][2]
+        for name in keys:
             if getattr(self, name) is None:
                 raise ConfigValidationError(
                     f"{self.potential} potential requires {name}"
                 )
-        for name in forbidden:
-            if getattr(self, name) is not None:
-                raise ConfigValidationError(
-                    f"{name} does not apply to the {self.potential} potential"
-                )
+        for _, _, kind_keys in _KINDS.values():
+            for name in kind_keys:
+                if name not in keys and getattr(self, name) is not None:
+                    raise ConfigValidationError(
+                        f"{name} does not apply to the {self.potential} potential"
+                    )
         if self.potential == TWO_BALL:
-            for name in _TWO_BALL_KEYS:
+            for name in keys:
                 if getattr(self, name) <= 0.0:
                     raise ConfigValidationError(f"{name} must be positive")
             half = self.arm_separation / 2.0
@@ -164,8 +174,6 @@ class OracleConfig:
                         f"{name!r} = {value!r} is too large: its square is not "
                         "a finite float"
                     )
-        elif self.quad_curvature is None:
-            object.__setattr__(self, "quad_curvature", 0.0)
         half_q = 1.5 * self.arm_separation
         half_p = 8.0 * self.hbar / self.packet_width
         defaults = (-half_q, half_q, -half_p, half_p)
@@ -199,46 +207,23 @@ class OracleConfig:
 
     # ------------------------------------------------------- derived pieces
 
-    def predicted_frequencies(self) -> tuple[float, float]:
-        """Closed-form (omega_classical, omega_quantum) for this field.
+    def _potential_args(self) -> list[float]:
+        """The kind's document values, in its value's argument order."""
+        return [getattr(self, name) for name in _KINDS[self.potential][2]]
 
-        omega_classical = dx * V'(0) / hbar (midpoint-force route) and
-        omega_quantum = [V(dx/2) - V(-dx/2)] / hbar (potential-difference
-        route), the two-ball pair from the reduced forms that
-        :mod:`gravfringe.gravity` evaluates in SI units; for a quadratic
-        potential the two coincide identically.
-        """
-        if self.potential == TWO_BALL:
-            return _frequencies(
-                self.arm_separation / self.hbar,
-                self.coupling_left,
-                self.coupling_right,
-                self.dist_left,
-                self.dist_right,
-                self.arm_separation,
-            )
-        diff = self.quad_slope * self.arm_separation
-        return self.arm_separation * self.quad_slope / self.hbar, diff / self.hbar
+    def predicted_frequencies(self) -> tuple[float, float]:
+        """Closed-form (omega_classical, omega_quantum) of the potential."""
+        potential = _KINDS[self.potential][0](*self._potential_args())
+        return potential.frequencies(self.arm_separation, self.hbar)
 
     def field_on(self, q_axis: np.ndarray) -> HamiltonianField:
         """Hamiltonian field carrying derivatives for the configured order."""
-        max_order = max(3, 2 * self.n_max + 1)
-        if self.potential == TWO_BALL:
-            return HamiltonianField.from_two_ball(
-                q_axis,
-                self.mass,
-                self.coupling_left,
-                self.coupling_right,
-                self.dist_left,
-                self.dist_right,
-                max_order=max_order,
-            )
-        return HamiltonianField.from_quadratic(
+        constructor = getattr(HamiltonianField, _KINDS[self.potential][1])
+        return constructor(
             q_axis,
             self.mass,
-            curvature=self.quad_curvature,
-            slope=self.quad_slope,
-            max_order=max_order,
+            *self._potential_args(),
+            max_order=max(3, 2 * self.n_max + 1),
         )
 
     def initial_state(self) -> WignerGrid:

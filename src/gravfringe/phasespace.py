@@ -63,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigValidationError, DomainError, GridError, NumericalError
-from .gravity import two_ball_derivative
+from .gravity import _Quadratic, _TwoBall
 
 __all__ = [
     "WignerGrid",
@@ -200,6 +200,13 @@ class HamiltonianField:
         return self.derivatives[order - 1]
 
     @classmethod
+    def _sampled(cls, potential, q_axis, mass, max_order: int) -> "HamiltonianField":
+        """Rows V' ... V^(max_order) of a potential value on the axis."""
+        q = np.asarray(q_axis, dtype=float)
+        rows = [potential.derivative(q, k) for k in range(1, max_order + 1)]
+        return cls(mass, q, np.vstack(rows))
+
+    @classmethod
     def from_two_ball(
         cls,
         q_axis: np.ndarray,
@@ -216,14 +223,8 @@ class HamiltonianField:
         raises :class:`DomainError`; the closed-form derivative ladder is
         exact at every order.
         """
-        q = np.asarray(q_axis, dtype=float)
-        rows = [
-            two_ball_derivative(
-                q, coupling_left, coupling_right, dist_left, dist_right, order=k
-            )
-            for k in range(1, max_order + 1)
-        ]
-        return cls(mass, q, np.vstack(rows))
+        potential = _TwoBall(coupling_left, coupling_right, dist_left, dist_right)
+        return cls._sampled(potential, q_axis, mass, max_order)
 
     @classmethod
     def from_quadratic(
@@ -235,12 +236,7 @@ class HamiltonianField:
         max_order: int = 7,
     ) -> "HamiltonianField":
         """V(q) = curvature * q^2 + slope * q (all higher derivatives 0)."""
-        q = np.asarray(q_axis, dtype=float)
-        rows = np.zeros((max_order, q.size))
-        rows[0] = 2.0 * curvature * q + slope
-        if max_order >= 2:
-            rows[1] = 2.0 * curvature
-        return cls(mass, q, rows)
+        return cls._sampled(_Quadratic(curvature, slope), q_axis, mass, max_order)
 
 
 def _require_aligned(h: HamiltonianField, w: WignerGrid) -> None:

@@ -934,6 +934,14 @@ SMALL_QUADRATIC = "".join(f"{key} = {value}\n" for key, value in SMALL_ORACLES[0
 # a non-finite tolerance once ran, and left a manifest that is not JSON
 @example((["validate-oracle", "--tolerance=inf"], SMALL_QUADRATIC, False, None))
 @example((["validate-oracle", "--tolerance=nan"], SMALL_QUADRATIC, False, None))
+# a flat record over 1.9e153 s: its fit's envelope regression once overflowed
+@example((["simulate", "--model", "classical", "--duration=1.9228919614294086e+153",
+           "--omega-c=0.0"], None, True, None))
+# generated general models are often unphysical, and the package says so;
+# any other warning numpy or the package raises here is a fault
+@pytest.mark.filterwarnings("ignore::gravfringe.errors.PositivityWarning")
+@pytest.mark.filterwarnings("ignore::gravfringe.errors.CoherenceGrowthWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_no_input_ends_in_a_traceback(run):
     argv, doc, fit, edit = run
     with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"):

@@ -190,13 +190,17 @@ HEADER = "# model=x,seed=None,noise_sd=0.1\nt_s,signal\n"
         ("0,0.5\n1,0.5,0.5\n", "line 4: ragged sample table"),
         ("0,0.5,0.5\n1,0.5,0.5\n", "line 3: ragged sample table"),
         ("0,0.5\n# note\n1,0.5\n", "line 4: ragged sample table"),
-        ("0,0.5\n#1,0.5\n", "non-numeric"),
+        ("0,0.5\n#1,0.5\n", "line 4, column 1: non-numeric sample value '#1'"),
         ("0,0.5\n   \n1,0.5\n", "line 4: ragged sample table"),
-        ("0,0.5\n1_0,0.5\n", "non-numeric"),
+        ("0,0.5\n1_0,0.5\n", "line 4, column 1: non-numeric sample value '1_0'"),
         ("\n\n", "empty sample table"),
+        # file lines, not numpy's rows, which skip empty lines and count from 0
+        ("0,0.5\n\n#1,2\n", "line 5, column 1: non-numeric sample value '#1'"),
+        ("0,0.5\n1,abc\n", "line 4, column 2: non-numeric sample value 'abc'"),
     ],
     ids=["long-row", "wide-table", "comment-line", "comment-row",
-         "whitespace-line", "underscore-literal", "blank-lines"],
+         "whitespace-line", "underscore-literal", "blank-lines",
+         "comment-after-empty-line", "word-in-second-column"],
 )
 def test_read_rejects_a_malformed_table_naming_it(tmp_path, recwarn, table, message):
     path = tmp_path / "bad.csv"
@@ -418,6 +422,16 @@ def test_fit_short_record_raises():
     ts = np.linspace(0, 20, 60)  # ~0.7 periods at omega = 0.22
     rec = synthesize_record(Schrodinger(0.22), ts)
     with pytest.raises(RecordError, match="fringe periods"):
+        fit_damped_fringe(rec)
+
+
+@pytest.mark.filterwarnings("error")
+def test_fit_whose_envelope_regression_overflows_is_a_numerical_failure():
+    # times near 1e155 square past the largest float inside polyfit, which
+    # then warned twice and reported rank loss while the fit ran on
+    ts = np.linspace(0.0, 1e155, 200)
+    rec = FringeRecord(times=ts, signal=0.5 + 0.5 * np.cos(1e-154 * np.pi * ts))
+    with pytest.raises(NumericalError, match="envelope seed fit failed"):
         fit_damped_fringe(rec)
 
 

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from gravfringe.config import G, HBAR, cesium_tungsten_config, with_updates
 from gravfringe.errors import ConfigValidationError, DomainError
 from gravfringe.gravity import (
+    _Quadratic,
+    _TwoBall,
     frequency_report,
     omega_classical,
     omega_quantum,
@@ -239,3 +241,69 @@ def test_frequency_report_keys(cfg):
     assert report["radius_left_m"] == pytest.approx(6.2776152e-3, rel=1e-6)
     assert report["radius_right_m"] == pytest.approx(7.9092996e-3, rel=1e-6)
     assert report["dist_left_rounded_mm_m"] == 0.057
+
+
+# ------------------------------------------------- metamorphic properties
+
+
+@st.composite
+def two_balls(draw):
+    """(potential, dx): a two-ball value whose centres clear arms at +-dx/2."""
+    dx = draw(st.floats(0.01, 10.0))
+    clearance = st.floats(1.01, 50.0)
+    weight = st.floats(1e-3, 1e3)
+    potential = _TwoBall(
+        draw(weight),
+        draw(weight),
+        draw(clearance) * dx / 2.0,
+        draw(clearance) * dx / 2.0,
+        unit=draw(st.just(1.0) | st.floats(1e-3, 1e3)),
+    )
+    return potential, dx
+
+
+def _mirrored(p):
+    return _TwoBall(p.w2, p.w1, p.d2, p.d1, unit=p.unit)
+
+
+@settings(max_examples=100, deadline=None)
+@given(two_balls(), st.floats(1e-3, 1e3), st.floats(-0.99, 0.99), st.integers(0, 40))
+def test_mirror_swap_negates_frequencies_and_reflects_derivatives(
+    potential_dx, hbar, share, order
+):
+    # swapping the balls reflects the line: V_m(x) = V(-x), so V_m^(k)(x) =
+    # (-1)^k V^(k)(-x), and both frequencies change sign, all exactly
+    potential, dx = potential_dx
+    mirror = _mirrored(potential)
+    omega_c, omega_q = potential.frequencies(dx, hbar)
+    assert mirror.frequencies(dx, hbar) == (-omega_c, -omega_q)
+    x = share * (potential.d2 if share > 0 else potential.d1)
+    sign = -1.0 if order % 2 else 1.0
+    assert potential.derivative(x, order) == sign * mirror.derivative(-x, order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(two_balls(), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+def test_frequencies_scale_inversely_with_lengths_and_with_the_weights(
+    potential_dx, hbar, s
+):
+    # V(x) -> V(x/s)/s under lengths times s, and V -> s V under weights
+    # times s; each ball's own term sets the size, since the two cancel on
+    # nulled geometries
+    p, dx = potential_dx
+    base = np.array(p.frequencies(dx, hbar))
+    size = np.abs(_TwoBall(p.w1, 0.0, p.d1, p.d2, p.unit).frequencies(dx, hbar)) + (
+        np.abs(_TwoBall(0.0, p.w2, p.d1, p.d2, p.unit).frequencies(dx, hbar))
+    )
+    longer = _TwoBall(p.w1, p.w2, s * p.d1, s * p.d2, p.unit).frequencies(s * dx, hbar)
+    heavier = _TwoBall(s * p.w1, s * p.w2, p.d1, p.d2, p.unit).frequencies(dx, hbar)
+    assert np.all(np.abs(longer - base / s) <= 1e-13 * size / s)
+    assert np.all(np.abs(heavier - base * s) <= 1e-13 * size * s)
+
+
+def test_quadratic_frequencies_are_the_force_and_the_potential_difference():
+    p, dx, hbar = _Quadratic(0.7, -0.3), 2.5, 0.9
+    omega_c, omega_q = p.frequencies(dx, hbar)
+    assert omega_c == omega_q == dx * p.derivative(0.0, 1) / hbar
+    difference = (p.derivative(dx / 2.0, 0) - p.derivative(-dx / 2.0, 0)) / hbar
+    assert omega_q == pytest.approx(difference, rel=1e-15)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gravfringe.errors import ConfigValidationError, DomainError, GridError
+from gravfringe.gravity import two_ball_derivative
 from gravfringe.phasespace import (
     BracketOrder,
     HamiltonianField,
@@ -218,6 +219,21 @@ def test_field_inside_ball_centres():
     q = -12.0 + 24.0 * np.arange(64) / 64
     with pytest.raises(DomainError):
         HamiltonianField.from_two_ball(q, 1.0, 1.0, 2.0, 5.0, 40.0)  # d1 < span
+
+
+def test_field_rows_are_the_closed_forms_bit_for_bit():
+    # criterion 8's bitwise quadratic collapse needs exact zeros above V''
+    q = -8.5 + 17.0 * np.arange(64) / 64
+    args = (705.0, 1410.0, 20.0, 20.0 * math.sqrt(2.0))
+    h = HamiltonianField.from_two_ball(q, 1.0, *args, max_order=9)
+    for k in range(1, 10):
+        assert h.derivative(k).tobytes() == two_ball_derivative(q, *args, order=k).tobytes()
+    for max_order in (1, 2, 7):
+        h = HamiltonianField.from_quadratic(q, 1.0, 0.7, -0.3, max_order=max_order)
+        expected = np.zeros((max_order, q.size))
+        expected[0] = 2.0 * 0.7 * q + -0.3
+        expected[1:2] = 2.0 * 0.7
+        assert h.derivatives.tobytes() == expected.tobytes()
 
 
 def test_bracket_order_validation():
