@@ -6,7 +6,9 @@ built-in benchmark geometry); each writes a ``manifest.json`` into the
 output directory *before* any data file, produces its outputs, and
 rewrites the manifest with the produced file names.  Identical
 invocations, seed included, produce byte-identical data files; only the
-manifest timestamp varies.
+manifest timestamp varies.  Each flag checks its value where it is
+declared, so a bad value is an argparse usage error naming the flag,
+and the manifest's options are the parsed flags.
 
 Exit status: 0 on success, which for ``validate-oracle`` includes the
 tolerance check passing, and 3 for a failed validation.  Every other
@@ -20,8 +22,10 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import MISSING, fields
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -47,7 +51,7 @@ from .oracle import (
     serialize_oracle_config,
     write_report,
 )
-from .twostate import ClassicalPoisson, GeneralLinear, Schrodinger, TilloyDiosi
+from .twostate import _LABELS, _LAWS, DynamicsModel
 
 __all__ = ["main"]
 
@@ -63,6 +67,30 @@ _FLOAT = "%.17g"
 
 
 # ------------------------------------------------------------------ parser
+
+
+def _checked(kind: Callable, rule: str, holds: Callable) -> Callable[[str], Any]:
+    """argparse ``type=`` parsing ``kind`` whose value must satisfy ``holds``.
+
+    A value that parses but breaks the rule is an argparse error naming
+    the flag: "argument --duration: must be positive and finite, got 0.0".
+    """
+
+    def parse(text: str):
+        value = kind(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must {rule}, got {value!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
+_FINITE = _checked(float, "be finite", math.isfinite)
+_POSITIVE = _checked(float, "be positive and finite", lambda v: 0.0 < v < math.inf)
+_NON_NEGATIVE = _checked(float, "be non-negative and finite", lambda v: 0.0 <= v < math.inf)
+# finite when both parts are, so 1e308+1e308j parses though its modulus overflows
+_FINITE_COMPLEX = _checked(complex, "be finite", np.isfinite)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -104,54 +132,58 @@ def _build_parser() -> argparse.ArgumentParser:
         help="synthesize a fringe record under one dynamics model",
     )
     sim.add_argument(
-        "--seed", type=int, default=None, metavar="INT",
+        "--seed", type=_checked(int, "be non-negative", lambda v: v >= 0),
+        default=None, metavar="INT",
         help="random seed for the additive noise",
     )
     sim.add_argument(
         "--model",
         required=True,
-        choices=("schrodinger", "classical", "tilloy-diosi", "general"),
+        choices=tuple(_LAWS),
         help="dynamical law generating the record",
     )
     sim.add_argument(
-        "--duration", type=float, required=True, metavar="SECONDS",
+        "--duration", type=_POSITIVE, required=True, metavar="SECONDS",
         help="record span in seconds",
     )
     sim.add_argument(
-        "--samples", type=int, default=200, metavar="N",
+        "--samples",
+        type=_checked(int, f"lie in 2..{_MAX_ARRAY_SIZE}",
+                      lambda v: 2 <= v <= _MAX_ARRAY_SIZE),
+        default=200, metavar="N",
         help="number of samples (default: %(default)s)",
     )
     sim.add_argument(
-        "--noise-sd", type=float, default=0.0, metavar="SD",
+        "--noise-sd", type=_NON_NEGATIVE, default=0.0, metavar="SD",
         help="additive Gaussian noise standard deviation (default: 0)",
     )
     sim.add_argument(
-        "--omega-q", type=float, default=None, metavar="RAD_S",
+        "--omega-q", type=_FINITE, default=None, metavar="RAD_S",
         help="schrodinger: rotation frequency (default: from the config)",
     )
     sim.add_argument(
-        "--omega-c", type=float, default=None, metavar="RAD_S",
+        "--omega-c", type=_FINITE, default=None, metavar="RAD_S",
         help="classical: rotation frequency (default: from the config)",
     )
     sim.add_argument(
-        "--lambda", dest="lambda_", type=float, default=None, metavar="PER_S",
+        "--lambda", dest="lam", type=_NON_NEGATIVE, default=None, metavar="PER_S",
         help="tilloy-diosi: coherence decay rate",
     )
     sim.add_argument(
-        "--omega-g", type=float, default=None, metavar="RAD_S",
+        "--omega-g", type=_FINITE, default=None, metavar="RAD_S",
         help="tilloy-diosi: rotation frequency",
     )
     sim.add_argument(
-        "--a-lr", type=complex, default=None, metavar="COMPLEX",
+        "--a-lr", type=_FINITE_COMPLEX, default=None, metavar="COMPLEX",
         help="general: coherence-to-population coupling (e.g. '0.1+0.05j')",
     )
     sim.add_argument(
-        "--b-lr", type=complex, default=None, metavar="COMPLEX",
+        "--b-lr", type=_FINITE_COMPLEX, default=None, metavar="COMPLEX",
         help="general: coherence self-coupling; values starting with a "
         "minus sign need the --b-lr=-0.05+0.22j form",
     )
     sim.add_argument(
-        "--b-rl", type=complex, default=None, metavar="COMPLEX",
+        "--b-rl", type=_FINITE_COMPLEX, default=None, metavar="COMPLEX",
         help="general: conjugate-coherence coupling (default: 0)",
     )
 
@@ -167,11 +199,13 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=sorted(_SWEEP_FIELDS),
         help="geometry field to vary",
     )
-    swp.add_argument("--min", type=float, required=True, dest="lo",
+    swp.add_argument("--min", type=_FINITE, required=True,
                      metavar="VALUE", help="first parameter value")
-    swp.add_argument("--max", type=float, required=True, dest="hi",
+    swp.add_argument("--max", type=_FINITE, required=True,
                      metavar="VALUE", help="last parameter value")
-    swp.add_argument("--steps", type=int, required=True, metavar="N",
+    swp.add_argument("--steps", required=True, metavar="N",
+                     type=_checked(int, f"lie in 1..{_MAX_ARRAY_SIZE}",
+                                   lambda v: 1 <= v <= _MAX_ARRAY_SIZE),
                      help="number of rows (must be positive)")
 
     val = sub.add_parser(
@@ -181,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "closed-form frequencies",
     )
     val.add_argument(
-        "--tolerance", type=float, default=0.05, metavar="FLOAT",
+        "--tolerance", type=_POSITIVE, default=0.05, metavar="FLOAT",
         help="pass threshold, relative to the larger predicted frequency "
         "(default: %(default)s)",
     )
@@ -205,27 +239,30 @@ def _jsonable(value: object) -> object:
     return repr(value)
 
 
+#: Parsed flags that the manifest records outside ``options``, or not at all.
+_NOT_OPTIONS = {"subcommand", "out", "config", "seed"}
+
+
 class _Manifest:
-    """Run manifest written before outputs, finalised with their names."""
+    """Run manifest written before outputs, finalised with their names.
+
+    ``options`` are the parsed flags, keyed by their argparse dests.
+    """
 
     def __init__(
-        self,
-        out_dir: Path,
-        subcommand: str,
-        config_echo: dict[str, object],
-        seed: int | None,
-        options: dict[str, object],
+        self, out_dir: Path, args: argparse.Namespace, echo: dict[str, object]
     ) -> None:
-        self.out_dir = out_dir
         self.path = out_dir / "manifest.json"
         self.data = {
-            "subcommand": subcommand,
+            "subcommand": args.subcommand,
             "version": __version__,
             "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
             "output_dir": str(out_dir),
-            "seed": seed,
-            "config": config_echo,
-            "options": {k: _jsonable(v) for k, v in options.items()},
+            "seed": getattr(args, "seed", None),
+            "config": echo,
+            "options": {
+                k: _jsonable(v) for k, v in vars(args).items() if k not in _NOT_OPTIONS
+            },
             "outputs": [],
         }
         self._write()
@@ -245,13 +282,16 @@ def _resolve_experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     return load_config(args.config)
 
 
+def _experiment_echo(config: ExperimentConfig) -> dict[str, object]:
+    return _parse_flat_document(serialize_config(config), "config")
+
+
 # ------------------------------------------------------------- subcommands
 
 
 def _cmd_frequencies(args: argparse.Namespace, out_dir: Path) -> int:
     config = _resolve_experiment_config(args)
-    echo = _parse_flat_document(serialize_config(config), "config")
-    manifest = _Manifest(out_dir, "frequencies", echo, None, {})
+    manifest = _Manifest(out_dir, args, _experiment_echo(config))
     report = _render_flat(frequency_report(config).items())
     with _write_atomic(out_dir / "frequencies.txt") as handle:
         handle.write(report)
@@ -261,85 +301,39 @@ def _cmd_frequencies(args: argparse.Namespace, out_dir: Path) -> int:
 
 
 def _flag(name: str) -> str:
-    """Command-line spelling of a model-parameter attribute name."""
-    return "--" + name.rstrip("_").replace("_", "-")
+    """Command-line spelling of a law parameter."""
+    return "--" + _LABELS.get(name, name).replace("_", "-")
 
 
-def _model_from_flags(
-    args: argparse.Namespace, config: ExperimentConfig
-) -> Schrodinger | ClassicalPoisson | TilloyDiosi | GeneralLinear:
-    given = {
-        name: getattr(args, name)
-        for name in ("omega_q", "omega_c", "lambda_", "omega_g", "a_lr", "b_lr", "b_rl")
-        if getattr(args, name) is not None
-    }
-    allowed = {
-        "schrodinger": {"omega_q"},
-        "classical": {"omega_c"},
-        "tilloy-diosi": {"lambda_", "omega_g"},
-        "general": {"a_lr", "b_lr", "b_rl"},
-    }[args.model]
-    stray = sorted(set(given) - allowed)
+def _model_from_flags(args: argparse.Namespace, config: ExperimentConfig) -> DynamicsModel:
+    """The ``--model`` law, built from its own flags.
+
+    A rotation frequency left unset comes from the config's closed form;
+    a flag of another law, or a missing parameter without a default, is
+    a :class:`ConfigValidationError` naming the flags.
+    """
+    law = _LAWS[args.model]
+    own = {f.name: f for f in fields(law)}
+    params = sorted({f.name for each in _LAWS.values() for f in fields(each)})
+    given = {name: getattr(args, name) for name in params if getattr(args, name) is not None}
+    stray = [name for name in given if name not in own]
     if stray:
         flags = ", ".join(_flag(name) for name in stray)
-        raise ConfigValidationError(
-            f"{flags} does not apply to --model {args.model}"
-        )
-    for name, value in given.items():
-        if not np.isfinite(value):
-            raise ConfigValidationError(f"{_flag(name)} must be finite, got {value!r}")
-    if args.model == "schrodinger":
-        omega = given.get("omega_q", None)
-        return Schrodinger(omega_quantum(config) if omega is None else omega)
-    if args.model == "classical":
-        omega = given.get("omega_c", None)
-        return ClassicalPoisson(omega_classical(config) if omega is None else omega)
-    if args.model == "tilloy-diosi":
-        missing = sorted({"lambda_", "omega_g"} - set(given))
-        if missing:
-            flags = ", ".join(_flag(name) for name in missing)
-            raise ConfigValidationError(f"--model tilloy-diosi requires {flags}")
-        try:
-            return TilloyDiosi(lam=given["lambda_"], omega_g=given["omega_g"])
-        except ValueError as exc:
-            raise ConfigValidationError(f"--lambda: {exc}") from None
-    missing = sorted({"a_lr", "b_lr"} - set(given))
+        raise ConfigValidationError(f"{flags} does not apply to --model {args.model}")
+    for name, omega in (("omega_q", omega_quantum), ("omega_c", omega_classical)):
+        if name in own and name not in given:
+            given[name] = omega(config)
+    missing = [name for name, f in own.items() if name not in given and f.default is MISSING]
     if missing:
         flags = ", ".join(_flag(name) for name in missing)
-        raise ConfigValidationError(f"--model general requires {flags}")
-    return GeneralLinear(
-        a_lr=given["a_lr"], b_lr=given["b_lr"], b_rl=given.get("b_rl", 0.0 + 0.0j)
-    )
+        raise ConfigValidationError(f"--model {args.model} requires {flags}")
+    return law(**given)
 
 
 def _cmd_simulate(args: argparse.Namespace, out_dir: Path) -> int:
-    if not 0.0 < args.duration < math.inf:
-        raise ConfigValidationError("--duration must be positive and finite")
-    if not 2 <= args.samples <= _MAX_ARRAY_SIZE:
-        raise ConfigValidationError(
-            f"--samples must lie in 2..{_MAX_ARRAY_SIZE}, got {args.samples}"
-        )
-    if not 0.0 <= args.noise_sd < math.inf:
-        raise ConfigValidationError("--noise-sd must be non-negative and finite")
-    if args.seed is not None and args.seed < 0:
-        raise ConfigValidationError(f"--seed must be non-negative, got {args.seed}")
     config = _resolve_experiment_config(args)
     model = _model_from_flags(args, config)
-    options = {
-        "model": args.model,
-        "duration_s": args.duration,
-        "samples": args.samples,
-        "noise_sd": args.noise_sd,
-        "omega_q": args.omega_q,
-        "omega_c": args.omega_c,
-        "lambda": args.lambda_,
-        "omega_g": args.omega_g,
-        "a_lr": args.a_lr,
-        "b_lr": args.b_lr,
-        "b_rl": args.b_rl,
-    }
-    echo = _parse_flat_document(serialize_config(config), "config")
-    manifest = _Manifest(out_dir, "simulate", echo, args.seed, options)
+    manifest = _Manifest(out_dir, args, _experiment_echo(config))
     times = np.linspace(0.0, args.duration, args.samples)
     record = synthesize_record(
         model, times, noise_sd=args.noise_sd, seed=args.seed
@@ -351,34 +345,19 @@ def _cmd_simulate(args: argparse.Namespace, out_dir: Path) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace, out_dir: Path) -> int:
-    if not 1 <= args.steps <= _MAX_ARRAY_SIZE:
+    if not math.isfinite(args.max - args.min):
         raise ConfigValidationError(
-            f"--steps must lie in 1..{_MAX_ARRAY_SIZE}, got {args.steps}"
-        )
-    for flag, value in (("--min", args.lo), ("--max", args.hi)):
-        if not math.isfinite(value):
-            raise ConfigValidationError(f"{flag} must be finite, got {value!r}")
-    if not math.isfinite(args.hi - args.lo):
-        raise ConfigValidationError(
-            f"--max minus --min must be finite, got --min={args.lo!r} "
-            f"--max={args.hi!r}"
+            f"--max minus --min must be finite, got --min={args.min!r} "
+            f"--max={args.max!r}"
         )
     config = _resolve_experiment_config(args)
     field = _SWEEP_FIELDS[args.parameter]
-    options = {
-        "parameter": args.parameter,
-        "field": field,
-        "min": args.lo,
-        "max": args.hi,
-        "steps": args.steps,
-    }
-    echo = _parse_flat_document(serialize_config(config), "config")
-    manifest = _Manifest(out_dir, "sweep", echo, None, options)
+    manifest = _Manifest(out_dir, args, _experiment_echo(config))
     # closed-form evaluations at microsecond scale: computed in order,
     # which is already the deterministic ordering the output promises
     rows = [f"# parameter={args.parameter},field={field}"]
     rows.append("value,omega_classical_rad_s,omega_quantum_rad_s,status")
-    for value in np.linspace(args.lo, args.hi, args.steps):
+    for value in np.linspace(args.min, args.max, args.steps):
         try:
             varied = with_updates(config, **{field: float(value)})
             row = (
@@ -396,10 +375,6 @@ def _cmd_sweep(args: argparse.Namespace, out_dir: Path) -> int:
 
 
 def _cmd_validate_oracle(args: argparse.Namespace, out_dir: Path) -> int:
-    if not 0.0 < args.tolerance < math.inf:
-        raise ConfigValidationError(
-            f"--tolerance must be positive and finite, got {args.tolerance!r}"
-        )
     if args.config is None:
         config = default_scaled_config()
     else:
@@ -407,9 +382,7 @@ def _cmd_validate_oracle(args: argparse.Namespace, out_dir: Path) -> int:
     echo = _parse_flat_document(
         serialize_oracle_config(config), "oracle config", text_keys={"potential"}
     )
-    manifest = _Manifest(
-        out_dir, "validate-oracle", echo, None, {"tolerance": args.tolerance}
-    )
+    manifest = _Manifest(out_dir, args, echo)
     report = run_validation(config, tolerance=args.tolerance)
     write_report(report, out_dir / "oracle_report.txt")
     manifest.finalize("oracle_report.txt")
@@ -426,14 +399,13 @@ def _cmd_validate_oracle(args: argparse.Namespace, out_dir: Path) -> int:
 
 def _cmd_fit(args: argparse.Namespace, out_dir: Path) -> int:
     record = read_record(args.record)
-    options = {"record": str(args.record)}
-    config_echo = {
+    echo = {
         "model": record.model,
         "seed": record.seed,
         "noise_sd": record.noise_sd,
         "n_samples": record.times.size,
     }
-    manifest = _Manifest(out_dir, "fit", config_echo, None, options)
+    manifest = _Manifest(out_dir, args, echo)
     fit = fit_damped_fringe(record)
     write_fit_result(fit, out_dir / "fit.txt")
     manifest.finalize("fit.txt")

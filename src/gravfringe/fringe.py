@@ -443,6 +443,9 @@ def _envelope_seed(
 
 #: ``xtol``, ``ftol`` and ``gtol`` of the least-squares fit.
 _FIT_TOLERANCE = 1e-12
+#: least_squares makes its start strictly feasible: a parameter within
+#: this of a zero lower bound starts at this value instead.
+_START_OFFSET = 1e-10
 
 
 def fit_damped_fringe(record: FringeRecord) -> FitResult:
@@ -457,7 +460,8 @@ def fit_damped_fringe(record: FringeRecord) -> FitResult:
     The optimiser converges to a relative tolerance of 1e-12.  Raises
     :class:`RecordError` when the record covers fewer than two periods
     at the seeded frequency, and :class:`NumericalError` when the
-    optimiser fails.
+    optimiser fails or the seeded frequency lies below its 1e-10 start
+    offset (only records longer than about 1e11 time units reach it).
     """
     times = record.times
     signal = record.signal
@@ -471,6 +475,13 @@ def fit_damped_fringe(record: FringeRecord) -> FitResult:
             "at least 2 are needed to separate decay from frequency"
         )
     lam0, contrast0 = _envelope_seed(times, signal)
+    if omega0 < _START_OFFSET:
+        # the optimiser would start from the offset instead, and fit a
+        # fringe the record does not hold
+        raise NumericalError(
+            f"seed frequency {omega0!r} lies below the fit's start offset "
+            f"{_START_OFFSET!r}; express the record's times in larger units"
+        )
     # phase from the dominant quadrature at t approx times[0]
     rotated = (signal - signal.mean()) * np.exp(-1j * omega0 * times)
     phase0 = float(-np.angle(np.mean(rotated)))

@@ -361,6 +361,31 @@ def _along(values: np.ndarray, multiplier: np.ndarray, axis: int) -> np.ndarray:
     return np.fft.irfft(spectrum * multiplier, n=n, axis=axis)
 
 
+def _moyal_terms(
+    h: HamiltonianField, w: WignerGrid, order: BracketOrder | int
+) -> list[tuple[int, np.ndarray]]:
+    """The series of Omega in k as (power, weight row) pairs.
+
+    Omega(q, k) = V'(q) k + sum_{n=1}^{n_max} hbar^(2n) / (4^n (2n+1)!)
+                            * V^(2n+1)(q) * k^(2n+1)
+
+    is the truncated expansion of [V(q + hbar k/2) - V(q - hbar k/2)] / hbar,
+    so the pairs are (1, V') and (2n+1, hbar^(2n) / (4^n (2n+1)!) V^(2n+1)).
+    Raises :class:`GridError` if the field does not carry V^(2 n_max + 1).
+    """
+    o = _as_order(order)
+    if o.highest_derivative > h.max_order:
+        raise GridError(
+            f"n_max={o.n_max} needs V^({o.highest_derivative}) but the "
+            f"field carries orders 1..{h.max_order}"
+        )
+    terms = [(1, h.derivative(1))]
+    for n in range(1, o.n_max + 1):
+        weight = w.hbar ** (2 * n) / (4.0**n * math.factorial(2 * n + 1))
+        terms.append((2 * n + 1, weight * h.derivative(2 * n + 1)))
+    return terms
+
+
 def _generator(
     h: HamiltonianField,
     w: WignerGrid,
@@ -370,38 +395,19 @@ def _generator(
     """Real (n_q, n_p//2 + 1) generator Omega(q, k) of potential transport.
 
     After one rfft along p the potential part of the order-n_max
-    bracket is the diagonal multiplier i Omega, with
-
-        Omega = V'(q) k + sum_{n=1}^{n_max} hbar^(2n) / (4^n (2n+1)!)
-                          * V^(2n+1)(q) * k^(2n+1),
-
-    the truncated expansion of [V(q + hbar k/2) - V(q - hbar k/2)] / hbar.
-    Corrections whose potential derivative vanishes add exact zeros,
-    so for quadratic potentials every order returns the n_max = 0
-    array bit for bit.  ``rows`` selects q rows; each row is the same
-    bits as in the whole array.  Raises :class:`GridError` if the field
-    does not carry V^(2 n_max + 1).
+    bracket is the diagonal multiplier i Omega, the series of
+    :func:`_moyal_terms`.  Corrections whose potential derivative
+    vanishes add exact zeros, so for quadratic potentials every order
+    returns the n_max = 0 array bit for bit.  ``rows`` selects q rows;
+    each row is the same bits as in the whole array.
     """
     _require_aligned(h, w)
-    o = _as_order(order)
-    if o.highest_derivative > h.max_order:
-        raise GridError(
-            f"n_max={o.n_max} needs V^({o.highest_derivative}) but the "
-            f"field carries orders 1..{h.max_order}"
-        )
+    (_, slope), *corrections = _moyal_terms(h, w, order)
     k = _wavenumbers(w.p_axis.size, w.dp)
-    omega = h.derivative(1)[rows, None] * k
-    for n in range(1, o.n_max + 1):
-        coefficient = _moyal_coefficient(n, w.hbar)
-        omega += (coefficient * h.derivative(2 * n + 1)[rows])[:, None] * k ** (
-            2 * n + 1
-        )
+    omega = slope[rows, None] * k
+    for power, weight in corrections:
+        omega += weight[rows, None] * k**power
     return omega
-
-
-def _moyal_coefficient(n: int, hbar: float) -> float:
-    """hbar^(2n) / (4^n (2n+1)!), the weight of V^(2n+1) k^(2n+1) in Omega."""
-    return hbar ** (2 * n) / (4.0**n * math.factorial(2 * n + 1))
 
 
 def _check_generator_range(
@@ -409,21 +415,17 @@ def _check_generator_range(
 ) -> None:
     """Raise :class:`NumericalError` if t |Omega| can overflow on a q row.
 
-    On every q row, t_max * sum_n |c_n V^(2n+1)(q)| k_max^(2n+1) bounds
-    t |Omega(q, k)| for 0 <= t <= t_max; where it is not a finite
-    float, exp(t i Omega) turns that row to NaN.  The check reads the
-    derivative table once per order, with no 2-d array, so it covers
-    the whole grid even when only some rows are propagated.
+    On every q row, t_max * sum |weight(q)| k_max^power over the terms
+    of :func:`_moyal_terms` bounds t |Omega(q, k)| for 0 <= t <= t_max;
+    where it is not a finite float, exp(t i Omega) turns that row to
+    NaN.  The check reads the derivative table once per order, with no
+    2-d array, so it covers the whole grid even when only some rows are
+    propagated.
     """
     k_max = float(_wavenumbers(w.p_axis.size, w.dp).max())
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = np.abs(h.derivative(1)) * k_max
-        for n in range(1, _as_order(order).n_max + 1):
-            coefficient = _moyal_coefficient(n, w.hbar)
-            bound += np.abs(coefficient * h.derivative(2 * n + 1)) * k_max ** (
-                2 * n + 1
-            )
-        reach = t_max * bound
+        terms = _moyal_terms(h, w, order)
+        reach = t_max * sum(np.abs(weight) * k_max**power for power, weight in terms)
     broken = np.flatnonzero(~np.isfinite(reach))
     if broken.size:
         raise NumericalError(

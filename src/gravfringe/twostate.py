@@ -52,8 +52,8 @@ acceptance gate requires.
 from __future__ import annotations
 
 import warnings
-from dataclasses import InitVar, dataclass
-from typing import Union
+from dataclasses import InitVar, dataclass, fields
+from typing import ClassVar, Union, get_args
 
 import numpy as np
 
@@ -130,6 +130,7 @@ PLUS_STATE = TwoLevelState(0.5, 0.5 + 0.0j)
 class Schrodinger:
     """Unitary arm dynamics: coherence rotates at ``omega_q`` (rad/s)."""
 
+    name: ClassVar[str] = "schrodinger"
     omega_q: float
 
 
@@ -137,6 +138,7 @@ class Schrodinger:
 class ClassicalPoisson:
     """Classical-transport arm dynamics: rotation at ``omega_c`` (rad/s)."""
 
+    name: ClassVar[str] = "classical"
     omega_c: float
 
 
@@ -145,6 +147,7 @@ class TilloyDiosi:
     """Monitored-source classical gravity: decay ``lam`` >= 0 (1/s) plus
     rotation ``omega_g`` (rad/s)."""
 
+    name: ClassVar[str] = "tilloy-diosi"
     lam: float
     omega_g: float
 
@@ -164,12 +167,18 @@ class GeneralLinear:
     decohered states, so they are not exposed.
     """
 
+    name: ClassVar[str] = "general"
     a_lr: complex
     b_lr: complex
     b_rl: complex = 0.0 + 0.0j
 
 
 DynamicsModel = Union[Schrodinger, ClassicalPoisson, TilloyDiosi, GeneralLinear]
+
+#: Each law of :data:`DynamicsModel` by its name.
+_LAWS = {law.name: law for law in get_args(DynamicsModel)}
+#: Spelling of a parameter where it differs from its field name.
+_LABELS = {"lam": "lambda"}
 
 
 def _as_general(model: DynamicsModel) -> GeneralLinear:
@@ -446,19 +455,12 @@ def spectral_solution(
 
 
 def model_descriptor(model: DynamicsModel) -> str:
-    """Short single-token description, e.g. for record headers.
+    """Short single-token description, e.g. for record headers:
+    ``name(label=value;...)`` over the law's fields, in field order.
 
     Uses ``;`` between parameters so the result stays comma-free.
     """
-    if isinstance(model, Schrodinger):
-        return f"schrodinger(omega_q={model.omega_q!r})"
-    if isinstance(model, ClassicalPoisson):
-        return f"classical(omega_c={model.omega_c!r})"
-    if isinstance(model, TilloyDiosi):
-        return f"tilloy-diosi(lambda={model.lam!r};omega_g={model.omega_g!r})"
-    if isinstance(model, GeneralLinear):
-        return (
-            f"general(a_lr={model.a_lr!r};b_lr={model.b_lr!r};"
-            f"b_rl={model.b_rl!r})"
-        )
-    raise TypeError(f"unknown dynamics model {model!r}")
+    params = ";".join(
+        f"{_LABELS.get(f.name, f.name)}={getattr(model, f.name)!r}" for f in fields(model)
+    )
+    return f"{model.name}({params})"

@@ -4,6 +4,7 @@ All invocations run in-process through ``main(argv)`` so exit codes and
 outputs are observable without subprocess overhead.
 """
 
+import argparse
 import dataclasses
 import json
 import os
@@ -18,11 +19,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gravfringe import cli
+from gravfringe import cli, twostate
 from gravfringe.cli import main
 from gravfringe.config import cesium_tungsten_config, serialize_config
 from gravfringe.errors import GravfringeError, NumericalError
-from gravfringe.fringe import read_fit_result, read_record
+from gravfringe.fringe import FringeRecord, fit_damped_fringe, read_fit_result, read_record
 from gravfringe.oracle import load_oracle_config, serialize_oracle_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -186,6 +187,20 @@ def test_flag_for_wrong_model_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "--lambda" in capsys.readouterr().err
+
+
+def test_model_choices_are_the_laws_by_name():
+    [simulate] = [
+        action.choices["simulate"] for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    [model] = [action for action in simulate._actions if action.dest == "model"]
+    assert model.choices == tuple(twostate._LAWS)
+    laws = [twostate.Schrodinger(0.5), twostate.ClassicalPoisson(0.5),
+            twostate.TilloyDiosi(0.1, 0.5), twostate.GeneralLinear(0.1j, 0.2j)]
+    assert [type(law) for law in laws] == list(twostate._LAWS.values())
+    for name, law in zip(twostate._LAWS, laws):
+        assert twostate.model_descriptor(law).startswith(name + "(")
 
 
 def test_incomplete_model_flags_exit_2(tmp_path, capsys):
@@ -502,7 +517,8 @@ def test_fit_bad_utf8_past_the_read_buffer_exits_2(tmp_path, capsys):
 def test_simulate_invalid_model_value_exits_2(tmp_path, capsys, flags, named):
     code = main(["simulate", *flags, "--duration", "10", "--out", str(tmp_path)])
     assert code == 2
-    assert named in capsys.readouterr().err
+    # the flag's own rule rejects the value as argparse parses it
+    assert f"argument {named}: must " in capsys.readouterr().err
     assert not (tmp_path / "record.csv").exists()
 
 
@@ -684,11 +700,14 @@ GROWING_RECORD = ["simulate", "--model", "general", "--a-lr=0j", "--duration",
         (["simulate", "--model", "general", "--a-lr=0j", "--b-lr=1e308",
           "--b-rl=1e308", "--duration", "1", "--samples", "2"], None,
          "float range"),
+        # both parts are finite, so the flag parses, though |b_lr| overflows
+        (["simulate", "--model", "general", "--a-lr=0j", "--b-lr=1e308+1.5e308j",
+          "--duration", "1", "--samples", "2"], None, "float range"),
     ],
     ids=["quad_curvature-1e306-conserving probability",
          "packet_width-1e-300-division by zero", "hold_time-1e-300-SVD",
          "simulate-growing-rotating", "simulate-growing",
-         "simulate-generator-overflows"],
+         "simulate-generator-overflows", "simulate-finite-parts-overflow"],
 )
 def test_numerical_breakdown_exits_3(tmp_path, capsys, argv, change, message):
     if change is not None:
@@ -729,6 +748,23 @@ def test_growing_simulate_that_succeeds_still_warns(tmp_path):
     assert "CoherenceGrowthWarning: coherence generator has a growing mode" in (
         proc.stderr
     )
+
+
+# a unitary law over 1.9e153 s drifts off the physical set by 2.4e-7
+@pytest.mark.filterwarnings("ignore::gravfringe.errors.PositivityWarning")
+def test_fit_seed_below_the_start_offset_exits_3(tmp_path, capsys):
+    # about 90 periods at 3e-152 rad/s: the optimiser moved the seed up to
+    # its 1e-10 start offset and reported omega = 3.0 with zero covariance
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--model", "schrodinger", "--omega-q", "3e-152",
+                 "--duration", "1.9e153", "--samples", "200", "--out", str(sim)]) == 0
+    assert main(["fit", str(sim / "record.csv"), "--out", str(tmp_path / "fit")]) == 3
+    assert "start offset" in capsys.readouterr().err
+    record = read_record(sim / "record.csv")
+    scaled = FringeRecord(times=record.times / 1.9e53, signal=record.signal)
+    assert scaled.times[-1] == pytest.approx(1e100)
+    with pytest.raises(NumericalError, match="start offset"):
+        fit_damped_fringe(scaled)
 
 
 def test_failing_fit_covariance_exits_3(tmp_path, capsys, monkeypatch):
@@ -992,6 +1028,11 @@ def test_manifest_config_echo_is_the_parsed_document(tmp_path, capsys, subcomman
     manifest = json.loads((out / "manifest.json").read_text())
     # only simulate takes a seed
     assert manifest["seed"] == (3 if subcommand == "simulate" else None)
+    # the options are the parsed flags, less those recorded elsewhere
+    parsed = vars(cli._build_parser().parse_args([*argv, "--out", str(out)]))
+    for key in ("subcommand", "out", "config", "seed"):
+        parsed.pop(key, None)
+    assert manifest["options"] == parsed
     echo = manifest["config"]
     assert not any(key.startswith("#") for key in echo)
 

@@ -12,6 +12,8 @@ from gravfringe.errors import ConfigValidationError, DomainError
 from gravfringe.gravity import (
     _Quadratic,
     _TwoBall,
+    _classical_null,
+    _quantum_null,
     frequency_report,
     omega_classical,
     omega_quantum,
@@ -299,6 +301,44 @@ def test_frequencies_scale_inversely_with_lengths_and_with_the_weights(
     heavier = _TwoBall(s * p.w1, s * p.w2, p.d1, p.d2, p.unit).frequencies(dx, hbar)
     assert np.all(np.abs(longer - base / s) <= 1e-13 * size / s)
     assert np.all(np.abs(heavier - base * s) <= 1e-13 * size * s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    mass_left=st.floats(0.005, 0.5),
+    mass_ratio=st.floats(1 / 8.0, 8.0),
+    dist_left=st.floats(0.05, 0.5),
+    dist_right=st.floats(0.05, 1.0),
+    separation_share=st.floats(0.2, 1.2),
+    s=st.floats(1e-3, 1e3),
+)
+def test_null_distances_scale_with_the_lengths(
+    cfg, mass_left, mass_ratio, dist_left, dist_right, separation_share, s
+):
+    # every length times s, the ball radii too (density over s^3, masses
+    # kept): both nulls are lengths, so they scale by s
+    config = _feasible(
+        cfg,
+        mass_left=mass_left,
+        mass_right=mass_left * mass_ratio,
+        dist_left=dist_left,
+        dist_right=dist_right,
+        arm_separation=separation_share * dist_left,
+    )
+    assume(config is not None)
+    scaled = _feasible(
+        config,
+        dist_left=s * config.dist_left,
+        dist_right=s * config.dist_right,
+        arm_separation=s * config.arm_separation,
+        source_density=config.source_density / s**3,
+    )
+    assume(scaled is not None)
+    classical = _classical_null(config.dist_left, config.mass_left, config.mass_right)
+    assert _classical_null(
+        scaled.dist_left, scaled.mass_left, scaled.mass_right
+    ) == pytest.approx(s * classical, rel=1e-13)
+    assert _quantum_null(scaled) == pytest.approx(s * _quantum_null(config), rel=1e-13)
 
 
 def test_quadratic_frequencies_are_the_force_and_the_potential_difference():

@@ -5,7 +5,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from scipy.linalg import expm_cond
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gravfringe.errors import CoherenceGrowthWarning, PositivityWarning
@@ -120,6 +121,17 @@ def test_spectral_trajectory_matches_named_exponential(model, times, phase):
 
 
 @settings(max_examples=30, deadline=None)
+@given(unit, states(), sorted_times)
+def test_reversed_rotation_conjugates_the_coherence(omega, initial, times):
+    # Schrodinger(-omega) from the conjugate state is Schrodinger(omega)
+    # conjugated: every sample equal bit for bit, up to the sign of a zero
+    mirrored = TwoLevelState(initial.rho_ll, initial.rho_lr.conjugate())
+    rho_ll, rho_lr = spectral_trajectory(Schrodinger(omega), initial, times)
+    back_ll, back_lr = spectral_trajectory(Schrodinger(-omega), mirrored, times)
+    assert np.array_equal(back_ll, rho_ll)
+    assert np.array_equal(back_lr, rho_lr.conjugate())
+
+
 @given(general_models, states(), sorted_times)
 def test_spectral_solution_is_one_row_of_the_trajectory(model, initial, times):
     with warnings.catch_warnings():
@@ -156,14 +168,30 @@ def _relative_error(a, ts):
     return max(errors)
 
 
+def _conditioned_error(a, t):
+    """Unit roundoff times the relative condition number of the
+    augmented exponential: the error any exponential may make at t."""
+    m = np.zeros((4, 4))
+    m[:2, :2] = a
+    m[[0, 1], [2, 3]] = 1.0
+    return 2.0**-53 * expm_cond(m * t)
+
+
 @settings(max_examples=50, deadline=None)
 @given(general_models, st.lists(st.floats(0.0, 120.0), min_size=1, max_size=4))
+# non-normal A (eigenvalues +-0.166i): error 1.1e-13, conditioned error 7.3e-12
+@example(GeneralLinear(0j, -1j, 0.69140625 + 0.703125j), [35.0])
 def test_batched_exponential_matches_mpmath_reference(model, times):
-    # Pade-13 with per-sample scaling; a growing mode amplifies the
-    # rounding of the squaring phase, so it gets the looser bound
+    # Pade-13 with per-sample scaling meets a fixed bound where the
+    # exponential is well conditioned; a growing mode amplifies the
+    # rounding of the squaring phase, so it gets the looser one.  A far
+    # from normal A is ill conditioned, and there the bound is the
+    # conditioned error, which the error stayed under by a factor of 5
     a = coherence_matrix(model)
     growing = np.max(np.linalg.eigvals(a).real) > 0.0
-    assert _relative_error(a, sorted(times)) <= (1e-11 if growing else 1e-13)
+    fixed = 1e-11 if growing else 1e-13
+    for t in times:
+        assert _relative_error(a, [t]) <= max(fixed, _conditioned_error(a, t))
 
 
 def test_batched_exponential_exact_and_degenerate_cases():
