@@ -14,18 +14,30 @@ Exit status: 0 on success, which for ``validate-oracle`` includes the
 tolerance check passing, and 3 for a failed validation.  Every other
 status follows from the class of the exception that ended the run, by
 the rule stated in :mod:`gravfringe.errors`.
+
+How the process ends: the ``gravfringe`` script and ``python -m
+gravfringe.cli`` call :func:`run`, which calls :func:`main`, flushes
+standard output and standard error, and ends the process with
+``os._exit``.  The interpreter's finalization, which only frees what the
+operating system reclaims anyway, is skipped; every file is written and
+closed before :func:`main` returns.  A flush that fails (the reader
+closed the pipe) ends the process with status 120, the status the
+interpreter's own exit gives it.  :func:`main` itself returns its status
+and never exits, so it can be called in-process.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 from dataclasses import MISSING, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NoReturn
 
 import numpy as np
 
@@ -51,9 +63,9 @@ from .oracle import (
     serialize_oracle_config,
     write_report,
 )
-from .twostate import _LABELS, _LAWS, DynamicsModel
+from .twostate import _LABELS, _LAWS, DynamicsModel, coherence_matrix
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 _SWEEP_FIELDS = {
     "d1": "dist_left",
@@ -330,6 +342,21 @@ def _model_from_flags(args: argparse.Namespace, config: ExperimentConfig) -> Dyn
     return law(**given)
 
 
+def _check_sampling(model: DynamicsModel, args: argparse.Namespace) -> None:
+    """Refuse a record whose step exceeds pi/|omega|, for omega the
+    model's fastest rotation (|Im| of the coherence block's
+    eigenvalues): its fringe would read as an alias."""
+    omega = float(np.max(np.abs(np.linalg.eigvals(coherence_matrix(model)).imag)))
+    step = args.duration / (args.samples - 1)
+    if omega * step > math.pi:
+        raise ConfigValidationError(
+            f"--samples {args.samples} over --duration {args.duration!r} s "
+            f"steps {step:.6g} s, longer than pi/|omega| = {math.pi / omega:.6g} s "
+            f"for the model's fastest rotation {omega:.6g} rad/s; the record "
+            "would alias"
+        )
+
+
 def _cmd_simulate(args: argparse.Namespace, out_dir: Path) -> int:
     config = _resolve_experiment_config(args)
     model = _model_from_flags(args, config)
@@ -338,6 +365,9 @@ def _cmd_simulate(args: argparse.Namespace, out_dir: Path) -> int:
     record = synthesize_record(
         model, times, noise_sd=args.noise_sd, seed=args.seed
     )
+    # after synthesis: a track that overflows is a numerical failure
+    # however it is sampled
+    _check_sampling(model, args)
     write_record(record, out_dir / "record.csv")
     manifest.finalize("record.csv")
     print(f"wrote {out_dir / 'record.csv'} ({record.model}, {args.samples} samples)")
@@ -444,5 +474,23 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+#: exit status of a process whose final flush fails, as at interpreter exit
+_FLUSH_FAILED = 120
+
+
+def run() -> NoReturn:
+    """Process entry: :func:`main` on ``sys.argv``, flush, and ``os._exit``."""
+    status = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (OSError, ValueError) as exc:  # the reader closed the pipe
+            status = _FLUSH_FAILED
+            with contextlib.suppress(OSError, ValueError):
+                print(f"gravfringe: cannot write {stream.name}: {exc}",
+                      file=sys.stderr, flush=True)
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -347,6 +347,8 @@ _PADE13 = (
     33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
 )
 _THETA13 = 5.371920351148152
+#: least norm the squaring count takes: keeps c = t / 2^s finite in b_1 c
+_NORM_FLOOR = 2.0**-900
 #: samples per pass of the exponential: bounds the working set
 _BLOCK = 2048
 
@@ -376,13 +378,20 @@ def _augmented_exp(a: np.ndarray, ts: np.ndarray) -> np.ndarray:
     M = [[A, I], [0, 0]], one (2, 4) row per time.
 
     Scaling and squaring with the Padé-13 approximant, each sample with
-    its own s = max(0, ceil(log2(t |M|_1 / theta_13))).  Every power of
+    its own s = max(0, ceil(log2(t |A|_1 / theta_13))).  Every power of
     X = c M (c = t / 2^s) has the top row [x^k | c x^(k-1)] with x = c A,
     so only top rows are carried: the approximant reduces to a 2x2
     solve, and a squaring of [[E, F], [0, I]] is [[E^2, E F + F], [0, I]].
+    The integral block is c times a divided difference of the same
+    approximant in x, so the error depends on |x|_1 alone and s comes
+    from A, not M: the identity block of M would set the scale of a slow
+    law, and the extra squarings would make the result depend on the
+    unit of time.  The norm has a floor of 2^-900, so c stays below
+    about 4.5e271 and b_1 c I stays finite: A = 0 takes s = 0 and gives
+    [I | t I] up to that time, and past it F doubles exactly per squaring.
     """
     b = _PADE13
-    norm = max(1.0, float(np.abs(a).sum(axis=0).max()))
+    norm = max(float(np.abs(a).sum(axis=0).max()), _NORM_FLOOR)
     s = np.ceil(np.log2(np.maximum(ts * norm / _THETA13, 1.0)))
     s = np.where(np.isfinite(s), s, 0.0).astype(int)
     c = np.ldexp(ts, -s)[:, None, None]

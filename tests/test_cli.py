@@ -1,7 +1,9 @@
 """Command-line behaviour: exits, manifests, files, end-to-end closure.
 
-All invocations run in-process through ``main(argv)`` so exit codes and
-outputs are observable without subprocess overhead.
+Invocations run in-process through ``main(argv)`` so exit codes and
+outputs are observable without subprocess overhead; ``run_cli`` runs
+``python -m gravfringe.cli`` where stderr's warnings or the way the
+process ends are what a test checks.
 """
 
 import argparse
@@ -720,13 +722,19 @@ def test_numerical_breakdown_exits_3(tmp_path, capsys, argv, change, message):
     assert "numerical failure" in err and message in err
 
 
-def run_cli(*argv):
-    """``python -m gravfringe.cli`` in a fresh process: warnings reach stderr."""
+def run_cli(*argv, stdout=subprocess.PIPE):
+    """``python -m gravfringe.cli`` in a fresh process, as a shell runs it.
+
+    The environment's ``PYTHON*`` settings are dropped, so warnings reach
+    stderr and a piped stdout is block-buffered.
+    """
     src = Path(cli.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     return subprocess.run(
         [sys.executable, "-m", "gravfringe.cli", *argv],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
+        env={**env, "PYTHONPATH": str(src)},
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
     )
 
@@ -750,8 +758,6 @@ def test_growing_simulate_that_succeeds_still_warns(tmp_path):
     )
 
 
-# a unitary law over 1.9e153 s drifts off the physical set by 2.4e-7
-@pytest.mark.filterwarnings("ignore::gravfringe.errors.PositivityWarning")
 def test_fit_seed_below_the_start_offset_exits_3(tmp_path, capsys):
     # about 90 periods at 3e-152 rad/s: the optimiser moved the seed up to
     # its 1e-10 start offset and reported omega = 3.0 with zero covariance
@@ -765,6 +771,48 @@ def test_fit_seed_below_the_start_offset_exits_3(tmp_path, capsys):
     assert scaled.times[-1] == pytest.approx(1e100)
     with pytest.raises(NumericalError, match="start offset"):
         fit_damped_fringe(scaled)
+
+
+def test_slow_unitary_law_over_a_long_record_prints_nothing(tmp_path):
+    # the squaring count came from the augmented block's identity, and the
+    # extra squarings drifted this unitary law off the physical set
+    proc = run_cli("simulate", "--model", "schrodinger", "--omega-q", "3e-152",
+                   "--duration", "1.9e153", "--out", str(tmp_path))
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
+def test_still_general_law_over_the_float_range_writes_a_finite_record(
+    tmp_path, capsys
+):
+    # its coherence block is zero, and b_1 c of the unfloored squaring
+    # count overflowed the population track past t = 2.8e291
+    out = tmp_path / "sim"
+    assert main(["simulate", "--model", "general", "--a-lr", "0.01+0j",
+                 "--b-lr", "0j", "--duration", "1e300", "--out", str(out)]) == 0
+    capsys.readouterr()
+    record = read_record(out / "record.csv")
+    assert np.all(record.signal == 1.0)
+    assert np.all(np.isfinite(record.population))
+    assert record.population[-1] == pytest.approx(1e298, rel=1e-15)
+
+
+def test_aliased_simulate_exits_2_naming_the_sampling(tmp_path, capsys):
+    # a 0.2204 rad/s fringe sampled every 20.7 s, above the pi/omega =
+    # 14.25 s limit: its fit read the alias 0.0833 rad/s as a measurement
+    out = tmp_path / "sim"
+    code = main(["simulate", "--model", "schrodinger", "--duration", "600",
+                 "--samples", "30", "--noise-sd", "0.01", "--seed", "1",
+                 "--out", str(out)])
+    assert code == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert "--samples 30" in line and "--duration 600.0" in line and "alias" in line
+    assert not (out / "record.csv").exists()
+    # the limit lies between 43 samples (step 14.29 s) and 44 (13.95 s)
+    for samples, status in (("43", 2), ("44", 0)):
+        assert main(["simulate", "--model", "schrodinger", "--duration", "600",
+                     "--samples", samples, "--out", str(out)]) == status
+    capsys.readouterr()
 
 
 def test_failing_fit_covariance_exits_3(tmp_path, capsys, monkeypatch):
@@ -814,6 +862,89 @@ def test_unallocatable_size_exits_2_naming_it(
     argv = [arg.format(size=size) for arg in argv]
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     assert named in capsys.readouterr().err
+
+
+# ------------------------------------------------------------- process end
+
+
+def _run_outputs(out):
+    """A run's data files by name, and its manifest less the timestamp and
+    the output directory; None when the run made no directory."""
+    if not out.exists():
+        return None
+    files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["timestamp"], manifest["output_dir"]
+    return files, manifest
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (["frequencies"], 0),
+        (["simulate", "--model", "general", "--a-lr=0.01+0.005j",
+          "--b-lr=-0.05+0.22j", "--duration", "60", "--samples", "300",
+          "--noise-sd", "0.02", "--seed", "9"], 0),
+        (["sweep", "--parameter", "d2", "--min", "0.06", "--max", "0.11",
+          "--steps", "26"], 0),
+        (["validate-oracle", "--config", str(CONFIGS / "oracle_quadratic.cfg")], 0),
+        (["fit", "RECORD"], 0),
+        (["simulate", "--model", "schrodinger", "--duration", "0"], 2),
+        (["simulate", "--model", "schrodinger", "--duration", "600",
+          "--samples", "30"], 2),
+        (["validate-oracle", "--config", str(CONFIGS / "oracle_quadratic.cfg"),
+          "--tolerance", "1e-18"], 3),
+    ],
+    ids=["frequencies", "simulate", "sweep", "validate-oracle", "fit",
+         "usage-error", "aliased-simulate", "failed-validation"],
+)
+def test_process_entry_writes_what_main_writes(tmp_path, capsys, argv, status):
+    record = tmp_path / "sim" / "record.csv"
+    assert main(["simulate", "--model", "tilloy-diosi", "--lambda", "0.05",
+                 "--omega-g", "0.22", "--duration", "60", "--samples", "300",
+                 "--noise-sd", "0.01", "--seed", "4", "--out", str(record.parent)]) == 0
+    argv = [str(record) if arg == "RECORD" else arg for arg in argv]
+    inside, fresh = tmp_path / "main", tmp_path / "process"
+    capsys.readouterr()
+    assert main([*argv, "--out", str(inside)]) == status
+    captured = capsys.readouterr()
+    proc = run_cli(*argv, "--out", str(fresh))
+    assert proc.returncode == status
+    assert proc.stdout == captured.out.replace(str(inside), str(fresh))
+    assert proc.stderr == captured.err.replace(str(inside), str(fresh))
+    assert _run_outputs(fresh) == _run_outputs(inside)
+
+
+def test_closed_stdout_ends_with_status_120_and_no_traceback(tmp_path):
+    # the report sits in stdout's buffer until the entry flushes it
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_cli("frequencies", "--out", str(tmp_path), stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 120
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("gravfringe: cannot write <stdout>: ")
+    assert (tmp_path / "frequencies.txt").exists()
+
+
+def test_main_returns_its_status_without_exiting(tmp_path, capsys, monkeypatch):
+    def exit_process(status):
+        raise AssertionError(f"main ended the process with status {status}")
+
+    monkeypatch.setattr(os, "_exit", exit_process)
+    assert main(["frequencies", "--out", str(tmp_path)]) == 0
+    assert main(["simulate", "--model", "schrodinger", "--duration", "0"]) == 2
+    assert main(["--help"]) == 0
+    capsys.readouterr()
+
+
+def test_script_entry_is_the_fast_exit():
+    tomllib = pytest.importorskip("tomllib")
+    with open(CONFIGS.parent / "pyproject.toml", "rb") as handle:
+        scripts = tomllib.load(handle)["project"]["scripts"]
+    assert scripts == {"gravfringe": "gravfringe.cli:run"}
 
 
 def _subclasses(cls):

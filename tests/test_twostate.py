@@ -1,12 +1,13 @@
 """Two-level dynamics: closed forms, integration, spectral solution."""
 
+import dataclasses
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm_cond
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gravfringe.errors import CoherenceGrowthWarning, PositivityWarning
@@ -200,6 +201,71 @@ def test_batched_exponential_exact_and_degenerate_cases():
     ts = [0.25, 3.0, 50.0, 120.0]
     assert _relative_error(np.zeros((2, 2)), ts) <= 1e-15
     assert _relative_error(np.array([[-1.0, 1.0], [0.0, -1.0]]), ts) <= 1e-15
+
+
+def _in_faster_unit(model, scale):
+    """The same law with every rate times ``scale``."""
+    return type(model)(*(getattr(model, f.name) * scale for f in dataclasses.fields(model)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(named_models, states(), sorted_times, st.floats(-6.0, 6.0))
+def test_track_does_not_depend_on_the_unit_of_time(model, initial, times, exponent):
+    # the law times s, sampled at the times over s, is the same track:
+    # the squaring count depends on t |A| alone, so a slow law takes no
+    # squarings beyond those of the same law in a faster unit
+    scale = 10.0**exponent
+    track = spectral_trajectory(model, initial, times)
+    rescaled = spectral_trajectory(
+        _in_faster_unit(model, scale), initial, np.divide(times, scale)
+    )
+    for part, other in zip(track, rescaled):
+        assert np.max(np.abs(part - other)) <= 1e-13
+
+
+@settings(max_examples=80, deadline=None)
+@given(general_models, states(), sorted_times, st.integers(-40, 40))
+def test_track_in_a_power_of_two_unit_is_the_same_bits(model, initial, times, power):
+    # a general law can be ill conditioned, so the rounding of an
+    # arbitrary rescaling may move its track; scaling by 2^k rounds
+    # nothing away from the subnormal range, and every step of the
+    # exponential then scales exactly
+    parts = [p for z in dataclasses.astuple(model) for p in (z.real, z.imag)]
+    assume(all(p == 0.0 or abs(p) >= 2.0**-900 for p in parts + times))
+    scale = 2.0**power
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        track = spectral_trajectory(model, initial, times)
+        rescaled = spectral_trajectory(
+            _in_faster_unit(model, scale), initial, np.divide(times, scale)
+        )
+    for part, other in zip(track, rescaled):
+        assert np.array_equal(part, other)
+
+
+@pytest.mark.parametrize(
+    "omega, span",
+    [(1e-8, 1e10), (1e-3, 1e5), (3e-152, 1.9e153), (0.0, 1e300)],
+)
+def test_slow_unitary_law_over_a_long_record_stays_unitary(omega, span):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho_ll, rho_lr = spectral_trajectory(
+            Schrodinger(omega), PLUS_STATE, np.linspace(0.0, span, 200)
+        )
+    assert np.all(rho_ll == 0.5)
+    assert np.max(np.abs(np.abs(rho_lr) - 0.5)) <= 1e-14
+
+
+def test_still_coherence_over_the_float_range_stays_finite():
+    # A = 0: without the norm floor c = t, and b_1 c overflowed past 2.8e291;
+    # this law moves its population by 0.01 per unit time
+    ts = np.linspace(0.0, 1e300, 200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rho_ll, rho_lr = spectral_trajectory(GeneralLinear(0.01, 0j), PLUS_STATE, ts)
+    assert np.all(rho_lr == 0.5)
+    assert rho_ll == pytest.approx(0.5 + 0.01 * ts, rel=1e-15)
 
 
 def test_blocks_do_not_change_bits():
