@@ -36,12 +36,7 @@ from .errors import (
     PositivityWarning,
     RecordError,
 )
-from .gravity import (
-    frequency_report,
-    omega_classical,
-    omega_quantum,
-    two_ball_derivative,
-)
+from .gravity import frequency_report, omega_classical, omega_quantum
 from .fringe import (
     FitResult,
     FringeRecord,

@@ -20,10 +20,12 @@ gravfringe.cli`` call :func:`run`, which calls :func:`main`, flushes
 standard output and standard error, and ends the process with
 ``os._exit``.  The interpreter's finalization, which only frees what the
 operating system reclaims anyway, is skipped; every file is written and
-closed before :func:`main` returns.  A flush that fails (the reader
-closed the pipe) ends the process with status 120, the status the
-interpreter's own exit gives it.  :func:`main` itself returns its status
-and never exits, so it can be called in-process.
+closed before :func:`main` returns.  A write to standard output that
+fails (the reader closed the pipe), whether in :func:`main` or in the
+final flush, prints one ``cannot write <stdout>`` line and ends with
+status 120, the status the interpreter's own exit gives a failed flush.
+:func:`main` itself returns its status and never exits, so it can be
+called in-process.
 """
 
 from __future__ import annotations
@@ -301,6 +303,17 @@ def _experiment_echo(config: ExperimentConfig) -> dict[str, object]:
 # ------------------------------------------------------------- subcommands
 
 
+class _StdoutFailed(Exception):
+    """A write to standard output failed (the reader closed the pipe)."""
+
+
+def _say(text: str, end: str = "\n") -> None:
+    try:
+        print(text, end=end)
+    except OSError as exc:
+        raise _StdoutFailed(exc) from exc
+
+
 def _cmd_frequencies(args: argparse.Namespace, out_dir: Path) -> int:
     config = _resolve_experiment_config(args)
     manifest = _Manifest(out_dir, args, _experiment_echo(config))
@@ -308,7 +321,7 @@ def _cmd_frequencies(args: argparse.Namespace, out_dir: Path) -> int:
     with _write_atomic(out_dir / "frequencies.txt") as handle:
         handle.write(report)
     manifest.finalize("frequencies.txt")
-    print(report, end="")
+    _say(report, end="")
     return 0
 
 
@@ -370,7 +383,7 @@ def _cmd_simulate(args: argparse.Namespace, out_dir: Path) -> int:
     _check_sampling(model, args)
     write_record(record, out_dir / "record.csv")
     manifest.finalize("record.csv")
-    print(f"wrote {out_dir / 'record.csv'} ({record.model}, {args.samples} samples)")
+    _say(f"wrote {out_dir / 'record.csv'} ({record.model}, {args.samples} samples)")
     return 0
 
 
@@ -400,7 +413,7 @@ def _cmd_sweep(args: argparse.Namespace, out_dir: Path) -> int:
     with _write_atomic(out_dir / "sweep.csv") as handle:
         handle.write("\n".join(rows) + "\n")
     manifest.finalize("sweep.csv")
-    print(f"wrote {out_dir / 'sweep.csv'} ({args.steps} rows)")
+    _say(f"wrote {out_dir / 'sweep.csv'} ({args.steps} rows)")
     return 0
 
 
@@ -416,7 +429,7 @@ def _cmd_validate_oracle(args: argparse.Namespace, out_dir: Path) -> int:
     report = run_validation(config, tolerance=args.tolerance)
     write_report(report, out_dir / "oracle_report.txt")
     manifest.finalize("oracle_report.txt")
-    print("\n".join(report.lines()))
+    _say("\n".join(report.lines()))
     if not report.passed:
         print(
             "validation FAILED: measured phase velocities disagree with "
@@ -439,7 +452,7 @@ def _cmd_fit(args: argparse.Namespace, out_dir: Path) -> int:
     fit = fit_damped_fringe(record)
     write_fit_result(fit, out_dir / "fit.txt")
     manifest.finalize("fit.txt")
-    print((out_dir / "fit.txt").read_text(encoding="utf-8"), end="")
+    _say((out_dir / "fit.txt").read_text(encoding="utf-8"), end="")
     return 0
 
 
@@ -452,6 +465,10 @@ _DISPATCH = {
 }
 
 
+#: exit status of a process whose write to stdout fails, as at interpreter exit
+_WRITE_FAILED = 120
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -462,6 +479,9 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         return _DISPATCH[args.subcommand](args, out_dir)
+    except _StdoutFailed as exc:
+        print(f"gravfringe: cannot write <stdout>: {exc}", file=sys.stderr)
+        return _WRITE_FAILED
     except (NumericalError, ArithmeticError) as exc:
         print(f"gravfringe: numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -474,10 +494,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
-#: exit status of a process whose final flush fails, as at interpreter exit
-_FLUSH_FAILED = 120
-
-
 def run() -> NoReturn:
     """Process entry: :func:`main` on ``sys.argv``, flush, and ``os._exit``."""
     status = main()
@@ -485,10 +501,11 @@ def run() -> NoReturn:
         try:
             stream.flush()
         except (OSError, ValueError) as exc:  # the reader closed the pipe
-            status = _FLUSH_FAILED
-            with contextlib.suppress(OSError, ValueError):
-                print(f"gravfringe: cannot write {stream.name}: {exc}",
-                      file=sys.stderr, flush=True)
+            if status != _WRITE_FAILED:  # main has not reported it already
+                with contextlib.suppress(OSError, ValueError):
+                    print(f"gravfringe: cannot write {stream.name}: {exc}",
+                          file=sys.stderr, flush=True)
+            status = _WRITE_FAILED
     os._exit(status)
 
 

@@ -154,10 +154,12 @@ def synthesize_record(
         raise ValueError("noise_sd must be non-negative")
     ts = np.asarray(times, dtype=float)
     # an overflow is reported below, as the non-finite column it leaves;
-    # the trajectory's warnings wait until the track is known to be finite
+    # the trajectory's warnings wait until the track is known to be finite,
+    # whatever the caller's filters would do with them
     with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings(
         record=True
     ) as held:
+        warnings.simplefilter("always")
         population, coherence = spectral_trajectory(model, PLUS_STATE, ts)
         signal = 0.5 + coherence.real
     if not isinstance(model, GeneralLinear):

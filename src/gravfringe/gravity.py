@@ -38,7 +38,6 @@ from .config import G, HBAR, ExperimentConfig, with_updates
 from .errors import ConfigValidationError, DomainError
 
 __all__ = [
-    "two_ball_derivative",
     "omega_classical",
     "omega_quantum",
     "frequency_report",
@@ -124,16 +123,6 @@ class _Quadratic:
         """(omega_C, omega_Q), which coincide: V' is linear."""
         omega = dx * self.slope / hbar
         return omega, omega
-
-
-def two_ball_derivative(x, g1: float, g2: float, d1: float, d2: float, order: int = 1):
-    """``order``-th spatial derivative of the two-ball potential.
-
-    ``order=0`` is the potential energy -g1/(d1+x) - g2/(d2-x) itself;
-    the couplings ``g_i`` are taken as given, in any units.  Orders and
-    positions are checked as :meth:`_TwoBall.derivative` checks them.
-    """
-    return _TwoBall(g1, g2, d1, d2).derivative(x, order)
 
 
 def _si_two_ball(config: ExperimentConfig) -> _TwoBall:

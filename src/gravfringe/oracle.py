@@ -223,7 +223,7 @@ class OracleConfig:
             q_axis,
             self.mass,
             *self._potential_args(),
-            max_order=max(3, 2 * self.n_max + 1),
+            max_order=2 * self.n_max + 1,
         )
 
     def initial_state(self) -> WignerGrid:

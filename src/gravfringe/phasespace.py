@@ -62,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigValidationError, DomainError, GridError, NumericalError
+from .errors import ConfigValidationError, GridError, NumericalError
 from .gravity import _Quadratic, _TwoBall
 
 __all__ = [
@@ -156,10 +156,6 @@ class BracketOrder:
     @property
     def highest_derivative(self) -> int:
         return 2 * self.n_max + 1
-
-
-def _as_order(order: BracketOrder | int) -> BracketOrder:
-    return order if isinstance(order, BracketOrder) else BracketOrder(int(order))
 
 
 @dataclass(frozen=True)
@@ -361,77 +357,32 @@ def _along(values: np.ndarray, multiplier: np.ndarray, axis: int) -> np.ndarray:
     return np.fft.irfft(spectrum * multiplier, n=n, axis=axis)
 
 
-def _moyal_terms(
+def _generator(
     h: HamiltonianField, w: WignerGrid, order: BracketOrder | int
-) -> list[tuple[int, np.ndarray]]:
-    """The series of Omega in k as (power, weight row) pairs.
+) -> np.ndarray:
+    """Real (n_q, n_p//2 + 1) generator Omega(q, k) of potential transport.
 
-    Omega(q, k) = V'(q) k + sum_{n=1}^{n_max} hbar^(2n) / (4^n (2n+1)!)
-                            * V^(2n+1)(q) * k^(2n+1)
-
-    is the truncated expansion of [V(q + hbar k/2) - V(q - hbar k/2)] / hbar,
-    so the pairs are (1, V') and (2n+1, hbar^(2n) / (4^n (2n+1)!) V^(2n+1)).
-    Raises :class:`GridError` if the field does not carry V^(2 n_max + 1).
+    After one rfft along p the potential part of the order-n_max
+    bracket is the diagonal multiplier i Omega, the series of the module
+    docstring: V' times k, plus hbar^(2n) / (4^n (2n+1)!) V^(2n+1)
+    times k^(2n+1) for n = 1 ... n_max.  Corrections whose potential
+    derivative vanishes add exact zeros, so for quadratic potentials
+    every order returns the n_max = 0 array bit for bit.  Raises
+    :class:`GridError` if the field does not carry V^(2 n_max + 1).
     """
-    o = _as_order(order)
+    _require_aligned(h, w)
+    o = order if isinstance(order, BracketOrder) else BracketOrder(int(order))
     if o.highest_derivative > h.max_order:
         raise GridError(
             f"n_max={o.n_max} needs V^({o.highest_derivative}) but the "
             f"field carries orders 1..{h.max_order}"
         )
-    terms = [(1, h.derivative(1))]
+    k = _wavenumbers(w.p_axis.size, w.dp)
+    omega = h.derivative(1)[:, None] * k
     for n in range(1, o.n_max + 1):
         weight = w.hbar ** (2 * n) / (4.0**n * math.factorial(2 * n + 1))
-        terms.append((2 * n + 1, weight * h.derivative(2 * n + 1)))
-    return terms
-
-
-def _generator(
-    h: HamiltonianField,
-    w: WignerGrid,
-    order: BracketOrder | int,
-    rows: slice | np.ndarray = slice(None),
-) -> np.ndarray:
-    """Real (n_q, n_p//2 + 1) generator Omega(q, k) of potential transport.
-
-    After one rfft along p the potential part of the order-n_max
-    bracket is the diagonal multiplier i Omega, the series of
-    :func:`_moyal_terms`.  Corrections whose potential derivative
-    vanishes add exact zeros, so for quadratic potentials every order
-    returns the n_max = 0 array bit for bit.  ``rows`` selects q rows;
-    each row is the same bits as in the whole array.
-    """
-    _require_aligned(h, w)
-    (_, slope), *corrections = _moyal_terms(h, w, order)
-    k = _wavenumbers(w.p_axis.size, w.dp)
-    omega = slope[rows, None] * k
-    for power, weight in corrections:
-        omega += weight[rows, None] * k**power
+        omega += (weight * h.derivative(2 * n + 1))[:, None] * k ** (2 * n + 1)
     return omega
-
-
-def _check_generator_range(
-    h: HamiltonianField, w: WignerGrid, order: BracketOrder | int, t_max: float
-) -> None:
-    """Raise :class:`NumericalError` if t |Omega| can overflow on a q row.
-
-    On every q row, t_max * sum |weight(q)| k_max^power over the terms
-    of :func:`_moyal_terms` bounds t |Omega(q, k)| for 0 <= t <= t_max;
-    where it is not a finite float, exp(t i Omega) turns that row to
-    NaN.  The check reads the derivative table once per order, with no
-    2-d array, so it covers the whole grid even when only some rows are
-    propagated.
-    """
-    k_max = float(_wavenumbers(w.p_axis.size, w.dp).max())
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = _moyal_terms(h, w, order)
-        reach = t_max * sum(np.abs(weight) * k_max**power for power, weight in terms)
-    broken = np.flatnonzero(~np.isfinite(reach))
-    if broken.size:
-        raise NumericalError(
-            "evolution stopped conserving probability: t |Omega| leaves the "
-            f"float range by t = {t_max!r} on the q row {h.q_axis[broken[0]]!r}"
-        )
 
 
 def _shear_generator(h: HamiltonianField, w: WignerGrid) -> np.ndarray:
@@ -505,8 +456,9 @@ def evolve_wigner(
       potential step; the splitting error over a fixed time is O(dt^2).
 
     A final probability drift beyond 1e-5 raises
-    :class:`NumericalError`, and so does a held run whose t |Omega|
-    overflows on some q row.
+    :class:`NumericalError`, and so does a held run whose t |Omega| is
+    not a finite float on some q row (exp(t i Omega) would turn that
+    row non-finite).
     """
     _require_aligned(h, w)
     if t < 0.0:
@@ -554,17 +506,23 @@ def _held_propagator(
     """Exact held evolution of the q rows ``w.values[rows]``.
 
     Held packets do not stream, so exp(t i Omega) acts on each q row on
-    its own.  The rows' rfft along p and their Omega rows are built
-    once; the returned function maps a time 0 <= t <= ``t_max`` to the
-    evolved rows irfft(spectrum * exp(t i Omega)), checks that their
+    its own.  Omega is built on every q row, and the first row on which
+    t_max |Omega| is not a finite float, exactly where exp(t i Omega)
+    would turn the row non-finite, raises :class:`NumericalError`: a
+    propagator that reads one row still fails where the whole grid
+    would.  The returned function maps a time 0 <= t <= ``t_max`` to
+    the kept rows' irfft(rfft(rows) * exp(t i Omega)), checks that their
     probability has not drifted, and returns the stored rows at t = 0.
-    Omega is range-checked on every q row of the grid first (see
-    :func:`_check_generator_range`), so a propagator that reads one
-    row still fails where the whole grid would.
     """
-    _require_aligned(h, w)
-    _check_generator_range(h, w, order, t_max)
-    omega = _generator(h, w, order, rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        omega = _generator(h, w, order)
+        broken = np.flatnonzero(~np.isfinite(t_max * np.abs(omega).max(axis=1)))
+    if broken.size:
+        raise NumericalError(
+            "evolution stopped conserving probability: t |Omega| leaves the "
+            f"float range by t = {t_max!r} on the q row {h.q_axis[broken[0]]!r}"
+        )
+    omega = omega[rows]
     start = w.values[rows]
     spectrum = np.fft.rfft(start, axis=1)
     mass = start.sum()
@@ -626,17 +584,17 @@ def weyl_density_matrix(w: WignerGrid, x, y):
     ``x`` and ``y`` broadcast; midpoints outside the q axis raise
     :class:`GridError`.
     """
-    mid, sep = _midpoint_and_separation(w, x, y)
+    mid, sep = _midpoint_and_separation(w.q_axis, x, y)
     out = _p_integral(w, _rows_at(w, mid), sep)
     return out if out.ndim else complex(out)
 
 
-def _midpoint_and_separation(w: WignerGrid, x, y) -> tuple[np.ndarray, np.ndarray]:
-    """((x+y)/2, x-y) as arrays; a midpoint off the q axis raises GridError."""
+def _midpoint_and_separation(q_axis: np.ndarray, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """((x+y)/2, x-y) as arrays; a midpoint off ``q_axis`` raises GridError."""
     xv = np.asarray(x, dtype=float)
     yv = np.asarray(y, dtype=float)
     mid = 0.5 * (xv + yv)
-    if np.any(mid < w.q_axis[0]) or np.any(mid > w.q_axis[-1]):
+    if np.any(mid < q_axis[0]) or np.any(mid > q_axis[-1]):
         raise GridError(
             "midpoint (x+y)/2 outside the grid's q axis; the kernel there "
             "is not represented"
@@ -664,11 +622,12 @@ def _held_kernel_series(
     times[i], hold_packets=True), x, y), but only the rows the readout
     reads are propagated: the one row at the midpoint (x + y)/2 when it
     is a q node, every row otherwise.  Each snapshot then costs one row
-    irfft and one p sum.  Every q row's generator is still range-checked
-    up to the latest time, and the propagated rows' probability drift is
-    checked at every snapshot, each raising :class:`NumericalError`.
+    irfft and one p sum.  Omega is still built and range-checked on
+    every q row up to the latest time, and the propagated rows'
+    probability drift is checked at every snapshot, each raising
+    :class:`NumericalError` (see :func:`_held_propagator`).
     """
-    mid, sep = _midpoint_and_separation(w, x, y)
+    mid, sep = _midpoint_and_separation(w.q_axis, x, y)
     node = np.flatnonzero(w.q_axis == mid)
     propagate = _held_propagator(
         h, w, order, node if node.size else slice(None), float(np.max(times))
@@ -699,16 +658,13 @@ def potential_commutator_term(
     callable (x, y) -> complex; V' is a cubic spline of the field's
     samples (V' is not periodic on the grid, so the trigonometric
     interpolant of :func:`weyl_density_matrix` would not fit it).
-    Midpoints outside the axis raise :class:`DomainError`.
+    Midpoints outside the axis raise :class:`GridError`, by the rule of
+    :func:`weyl_density_matrix`.
     """
-    xv = np.asarray(x, dtype=float)
-    yv = np.asarray(y, dtype=float)
-    mid = 0.5 * (xv + yv)
-    if np.any(mid < h.q_axis[0]) or np.any(mid > h.q_axis[-1]):
-        raise DomainError("midpoint (x+y)/2 outside the sampled potential axis")
+    mid, sep = _midpoint_and_separation(h.q_axis, x, y)
     # library-only cross-check: no CLI path pays for scipy.interpolate
     from scipy.interpolate import CubicSpline
 
     v1 = CubicSpline(h.q_axis, h.derivative(1))(mid)
-    out = (xv - yv) / (1j * hbar) * v1 * rho_kernel(xv, yv)
+    out = sep / (1j * hbar) * v1 * rho_kernel(x, y)
     return out if np.ndim(out) else complex(out)

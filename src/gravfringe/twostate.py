@@ -109,17 +109,18 @@ class TwoLevelState:
     def positivity_defect(self) -> float:
         """How far the state sits outside the physical set (0 if inside).
 
-        max of the population's excursion outside [0, 1] and the excess
-        of |rho_LR|^2 over rho_LL (1 - rho_LL).
+        The unit-trace rho has eigenvalues 1/2 +- r with
+        r = hypot(rho_LL - 1/2, |rho_LR|), so the defect is the size of
+        its negative eigenvalue, max(r - 1/2, 0).  It is zero exactly
+        where rho_LL lies in [0, 1] and |rho_LR|^2 <= rho_LL (1 - rho_LL);
+        no entry is squared, so it overflows only where r itself does.
         """
         return float(_positivity_defect(self.rho_ll, self.rho_lr))
 
 
 def _positivity_defect(rho_ll, rho_lr):
     """Elementwise :meth:`TwoLevelState.positivity_defect` of arrays."""
-    pop = np.maximum(-rho_ll, rho_ll - 1.0)
-    coh = np.abs(rho_lr) ** 2 - rho_ll * (1.0 - rho_ll)
-    return np.maximum(np.maximum(pop, coh), 0.0)
+    return np.maximum(np.hypot(rho_ll - 0.5, np.abs(rho_lr)) - 0.5, 0.0)
 
 
 #: Equal superposition (|L> + |R>)/sqrt(2): the post-split initial state.

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from gravfringe import cli, twostate
 from gravfringe.cli import main
 from gravfringe.config import cesium_tungsten_config, serialize_config
-from gravfringe.errors import GravfringeError, NumericalError
+from gravfringe.errors import GravfringeError, NumericalError, PositivityWarning
 from gravfringe.fringe import FringeRecord, fit_damped_fringe, read_fit_result, read_record
 from gravfringe.oracle import load_oracle_config, serialize_oracle_config
 
@@ -722,17 +722,18 @@ def test_numerical_breakdown_exits_3(tmp_path, capsys, argv, change, message):
     assert "numerical failure" in err and message in err
 
 
-def run_cli(*argv, stdout=subprocess.PIPE):
+def run_cli(*argv, stdout=subprocess.PIPE, env=None):
     """``python -m gravfringe.cli`` in a fresh process, as a shell runs it.
 
     The environment's ``PYTHON*`` settings are dropped, so warnings reach
-    stderr and a piped stdout is block-buffered.
+    stderr and a piped stdout is block-buffered; ``env`` adds settings
+    back on top.
     """
     src = Path(cli.__file__).resolve().parents[1]
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    inherited = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     return subprocess.run(
         [sys.executable, "-m", "gravfringe.cli", *argv],
-        env={**env, "PYTHONPATH": str(src)},
+        env={**inherited, "PYTHONPATH": str(src), **(env or {})},
         stdout=stdout,
         stderr=subprocess.PIPE,
         text=True,
@@ -788,8 +789,10 @@ def test_still_general_law_over_the_float_range_writes_a_finite_record(
     # its coherence block is zero, and b_1 c of the unfloored squaring
     # count overflowed the population track past t = 2.8e291
     out = tmp_path / "sim"
-    assert main(["simulate", "--model", "general", "--a-lr", "0.01+0j",
-                 "--b-lr", "0j", "--duration", "1e300", "--out", str(out)]) == 0
+    # the population leaves [0, 1], and the warning names a finite defect
+    with pytest.warns(PositivityWarning, match=r"worst defect 1e\+298,"):
+        assert main(["simulate", "--model", "general", "--a-lr", "0.01+0j",
+                     "--b-lr", "0j", "--duration", "1e300", "--out", str(out)]) == 0
     capsys.readouterr()
     record = read_record(out / "record.csv")
     assert np.all(record.signal == 1.0)
@@ -915,12 +918,18 @@ def test_process_entry_writes_what_main_writes(tmp_path, capsys, argv, status):
     assert _run_outputs(fresh) == _run_outputs(inside)
 
 
-def test_closed_stdout_ends_with_status_120_and_no_traceback(tmp_path):
-    # the report sits in stdout's buffer until the entry flushes it
+@pytest.mark.parametrize(
+    "env", [None, {"PYTHONUNBUFFERED": "1"}], ids=["buffered", "unbuffered"]
+)
+def test_closed_stdout_ends_with_status_120_and_no_traceback(tmp_path, env):
+    # buffered, the report waits for the entry's flush; unbuffered, the
+    # write inside main fails first: both end the same way
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = run_cli("frequencies", "--out", str(tmp_path), stdout=write_end)
+        proc = run_cli(
+            "frequencies", "--out", str(tmp_path), stdout=write_end, env=env
+        )
     finally:
         os.close(write_end)
     assert proc.returncode == 120

@@ -2,6 +2,7 @@
 
 import contextlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,16 @@ def test_synthesize_warns_only_for_a_finite_track(recwarn):
     assert not recwarn.list
     with pytest.warns(CoherenceGrowthWarning):
         synthesize_record(GeneralLinear(a_lr=0j, b_lr=0.05 + 0.2j), ts[:5], 0.01)
+
+
+def test_overflow_is_reported_whatever_the_warning_filters():
+    # an erroring filter must not turn the held growth warning into the
+    # exception that ends the call before the track is checked
+    ts = np.linspace(0.0, 1000.0, 50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="float range"):
+            synthesize_record(GeneralLinear(a_lr=0j, b_lr=5 + 1j), ts)
 
 
 def test_synthesize_deterministic_by_seed():

@@ -17,7 +17,6 @@ from gravfringe.gravity import (
     frequency_report,
     omega_classical,
     omega_quantum,
-    two_ball_derivative,
 )
 
 
@@ -28,7 +27,7 @@ def cfg():
 
 def two_ball_potential(x, *args):
     """V itself: the order-0 closed form."""
-    return two_ball_derivative(x, *args, order=0)
+    return _TwoBall(*args).derivative(x, 0)
 
 
 def si_args(config):
@@ -79,18 +78,18 @@ def test_derivatives_match_finite_differences(cfg):
                 )
             else:
                 fd = (-vals[0] + 2 * vals[1] - 2 * vals[3] + vals[4]) / (-2 * h**3)
-            assert two_ball_derivative(x, *args, order=order) == pytest.approx(
+            assert _TwoBall(*args).derivative(x, order) == pytest.approx(
                 fd, rel=1e-6
             )
 
 
 def test_derivative_order_zero_is_potential(cfg):
     g1, g2, d1, d2 = args = si_args(cfg)
-    value = two_ball_derivative(0.01, *args, order=0)
+    value = _TwoBall(*args).derivative(0.01, 0)
     assert isinstance(value, float)
     assert value == -g1 / (d1 + 0.01) - g2 / (d2 - 0.01)  # bit for bit
     xs = np.linspace(-0.04, 0.04, 101)
-    values = two_ball_derivative(xs, *args, order=0)
+    values = _TwoBall(*args).derivative(xs, 0)
     assert np.array_equal(values, -g1 / (d1 + xs) - g2 / (d2 - xs))
 
 
@@ -100,7 +99,7 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         two_ball_potential(2.0, 1.0, 1.0, 1.0, 2.0)
     with pytest.raises(DomainError):
-        two_ball_derivative(5.0, 1.0, 1.0, 1.0, 2.0, order=3)
+        _TwoBall(1.0, 1.0, 1.0, 2.0).derivative(5.0, 3)
 
 
 def test_array_input(cfg):
@@ -118,7 +117,7 @@ def test_omega_classical_equals_force_route(cfg):
     direct = omega_classical(lopsided)
     via_force = (
         lopsided.arm_separation
-        * two_ball_derivative(0.0, *si_args(lopsided))
+        * _TwoBall(*si_args(lopsided)).derivative(0.0, 1)
         / HBAR
     )
     assert abs(direct) > 1e-3
@@ -147,7 +146,7 @@ def test_small_separation_limit(cfg):
     tiny = with_updates(cfg, arm_separation=1e-6, dist_right=0.09)
     ratio = omega_quantum(tiny) / (
         tiny.arm_separation
-        * two_ball_derivative(0.0, *si_args(tiny))
+        * _TwoBall(*si_args(tiny)).derivative(0.0, 1)
         / HBAR
     )
     assert abs(ratio - 1.0) < 1e-8

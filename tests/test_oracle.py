@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gravfringe.errors import ConfigParseError, ConfigValidationError, DomainError
-from gravfringe.gravity import two_ball_derivative
+from gravfringe.gravity import _TwoBall
 from gravfringe.phasespace import BracketOrder, evolve_wigner, weyl_density_matrix
 from gravfringe.oracle import (
     _phase_slope,
@@ -284,10 +284,9 @@ def potential_routes(cfg):
     """
     a = cfg.arm_separation / 2.0
     args = (cfg.coupling_left, cfg.coupling_right, cfg.dist_left, cfg.dist_right)
-    slope = two_ball_derivative(0.0, *args, order=1)
-    diff = two_ball_derivative(a, *args, order=0) - two_ball_derivative(
-        -a, *args, order=0
-    )
+    potential = _TwoBall(*args)
+    slope = potential.derivative(0.0, 1)
+    diff = potential.derivative(a, 0) - potential.derivative(-a, 0)
     return cfg.arm_separation * slope / cfg.hbar, diff / cfg.hbar
 
 
@@ -378,7 +377,7 @@ def test_held_slope_is_the_taylor_partial_sum(n_max):
     a = cfg.arm_separation / 2.0
     args = (cfg.coupling_left, cfg.coupling_right, cfg.dist_left, cfg.dist_right)
     partial = 2.0 / cfg.hbar * sum(
-        float(two_ball_derivative(0.0, *args, order=2 * j + 1))
+        _TwoBall(*args).derivative(0.0, 2 * j + 1)
         * a ** (2 * j + 1)
         / math.factorial(2 * j + 1)
         for j in range(n_max + 1)

@@ -6,19 +6,21 @@ acceptance suite.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gravfringe.errors import ConfigValidationError, DomainError, GridError
-from gravfringe.gravity import two_ball_derivative
+from gravfringe.errors import ConfigValidationError, DomainError, GridError, NumericalError
+from gravfringe.gravity import _TwoBall
 from gravfringe.phasespace import (
     BracketOrder,
     HamiltonianField,
     WignerGrid,
     _generator,
+    _held_kernel_series,
     evolve_wigner,
     moyal_bracket,
     poisson_bracket,
@@ -227,7 +229,7 @@ def test_field_rows_are_the_closed_forms_bit_for_bit():
     args = (705.0, 1410.0, 20.0, 20.0 * math.sqrt(2.0))
     h = HamiltonianField.from_two_ball(q, 1.0, *args, max_order=9)
     for k in range(1, 10):
-        assert h.derivative(k).tobytes() == two_ball_derivative(q, *args, order=k).tobytes()
+        assert h.derivative(k).tobytes() == _TwoBall(*args).derivative(q, k).tobytes()
     for max_order in (1, 2, 7):
         h = HamiltonianField.from_quadratic(q, 1.0, 0.7, -0.3, max_order=max_order)
         expected = np.zeros((max_order, q.size))
@@ -357,6 +359,22 @@ def test_held_propagator_is_unitary(n_max, t):
     assert abs(out.norm() - w.norm()) < 1e-12
 
 
+def test_ridge_readout_fails_for_an_overflow_on_an_outer_row():
+    # only the ridge row q = 0 is propagated, but Omega is range-checked
+    # on every row, so t |Omega| leaving the float range on the first row
+    # still stops the readout
+    w = tiny_state()
+    slope = np.zeros(w.q_axis.size)
+    slope[0] = 1e300
+    h = HamiltonianField(1.0, w.q_axis, slope[None, :])
+    a = DX / 2.0
+    with pytest.raises(NumericalError, match=re.escape(f"q row {w.q_axis[0]!r}")):
+        _held_kernel_series(h, w, 0, -a, a, np.array([0.0, 1e10]))
+    # within range, the ridge's zero generator leaves its kernel unmoved
+    kernels = _held_kernel_series(h, w, 0, -a, a, np.array([0.0, 1.0]))
+    assert abs(kernels[1] - kernels[0]) < 1e-12
+
+
 def test_mirror_symmetry_preserved():
     # symmetric potential, real coherence: W is even under (q,p) -> (-q,-p);
     # evolution must keep it so.  On an endpoint-exclusive axis the mirror
@@ -455,6 +473,10 @@ def test_weyl_outside_grid_rejected():
     w = small_state(0.3)
     with pytest.raises(GridError, match="midpoint"):
         weyl_density_matrix(w, 9.0, 9.0)
+    # the commutator term reads its midpoint by the same rule
+    h = two_ball_field(w.q_axis)
+    with pytest.raises(GridError, match="midpoint"):
+        potential_commutator_term(h, lambda x, y: 0j, 9.0, 9.0)
 
 
 def test_commutator_identity_against_bracket_transform():
