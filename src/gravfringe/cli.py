@@ -24,6 +24,8 @@ closed before :func:`main` returns.  A write to standard output that
 fails (the reader closed the pipe), whether in :func:`main` or in the
 final flush, prints one ``cannot write <stdout>`` line and ends with
 status 120, the status the interpreter's own exit gives a failed flush.
+A closed standard error ends the run with status 120 too, with no
+traceback.
 :func:`main` itself returns its status and never exits, so it can be
 called in-process.
 """
@@ -314,6 +316,21 @@ def _say(text: str, end: str = "\n") -> None:
         raise _StdoutFailed(exc) from exc
 
 
+#: exit status of a process whose write to stdout or stderr fails, as at
+#: interpreter exit
+_WRITE_FAILED = 120
+
+
+def _complain(line: str, status: int) -> int:
+    """Print ``line`` to standard error and return ``status``, or 120 when
+    standard error is closed."""
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        return _WRITE_FAILED
+    return status
+
+
 def _cmd_frequencies(args: argparse.Namespace, out_dir: Path) -> int:
     config = _resolve_experiment_config(args)
     manifest = _Manifest(out_dir, args, _experiment_echo(config))
@@ -431,12 +448,11 @@ def _cmd_validate_oracle(args: argparse.Namespace, out_dir: Path) -> int:
     manifest.finalize("oracle_report.txt")
     _say("\n".join(report.lines()))
     if not report.passed:
-        print(
+        return _complain(
             "validation FAILED: measured phase velocities disagree with "
             "the closed-form frequencies beyond tolerance",
-            file=sys.stderr,
+            3,
         )
-        return 3
     return 0
 
 
@@ -465,10 +481,6 @@ _DISPATCH = {
 }
 
 
-#: exit status of a process whose write to stdout fails, as at interpreter exit
-_WRITE_FAILED = 120
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -480,18 +492,14 @@ def main(argv: list[str] | None = None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         return _DISPATCH[args.subcommand](args, out_dir)
     except _StdoutFailed as exc:
-        print(f"gravfringe: cannot write <stdout>: {exc}", file=sys.stderr)
-        return _WRITE_FAILED
+        return _complain(f"gravfringe: cannot write <stdout>: {exc}", _WRITE_FAILED)
     except (NumericalError, ArithmeticError) as exc:
-        print(f"gravfringe: numerical failure: {exc}", file=sys.stderr)
-        return 3
+        return _complain(f"gravfringe: numerical failure: {exc}", 3)
     except (GravfringeError, OSError, MemoryError) as exc:
-        print(f"gravfringe: {exc}", file=sys.stderr)
-        return 2
+        return _complain(f"gravfringe: {exc}", 2)
     except UnicodeDecodeError as exc:
         path = args.record if args.subcommand == "fit" else args.config
-        print(f"gravfringe: cannot decode {path}: {exc}", file=sys.stderr)
-        return 2
+        return _complain(f"gravfringe: cannot decode {path}: {exc}", 2)
 
 
 def run() -> NoReturn:

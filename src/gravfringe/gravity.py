@@ -6,7 +6,8 @@ oracle's control case, for which classical and quantum transport agree
 exactly).  A value gives two views:
 
 * ``derivative(x, order)``, the closed-form V^(k) for k >= 0 (k = 0 is
-  V itself), which the phase-space field samples on its q axis;
+  V itself); the phase-space field carries the value and evaluates it
+  on its q axis;
 * ``frequencies(dx, hbar)``, the pair (omega_C, omega_Q) of arms at
   +-dx/2: omega_C = dx V'(0) / hbar is driven by the force at the
   midpoint, omega_Q = (V(dx/2) - V(-dx/2)) / hbar by the potential

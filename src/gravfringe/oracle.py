@@ -4,10 +4,11 @@ The physical cesium-scale parameters put ~10^30 interference-fringe
 oscillations across any storable momentum grid, so the phase-space
 check runs in nondimensionalized units (hbar = 1, order-unity lengths)
 where the fringe ridge is resolvable.  Carrying the result over to the
-SI frequencies of :mod:`gravfringe.gravity` rests on scale covariance,
-of which only gravity's half is tested so far (its frequencies scale as
-1/length and as the ball weights); no run yet maps an experiment onto
-these units or rescales the grid run.
+SI frequencies of :mod:`gravfringe.gravity` rests on scale covariance:
+gravity's frequencies scale as 1/length and as the ball weights, and a
+grid run with its lengths and couplings scaled together (its momenta
+inversely) measures the same slopes; no run yet maps an experiment onto
+these units.
 
 A validation run evolves the held two-packet state twice — once with
 classical transport only, once with the quantum-corrected bracket —
@@ -217,7 +218,11 @@ class OracleConfig:
         return potential.frequencies(self.arm_separation, self.hbar)
 
     def field_on(self, q_axis: np.ndarray) -> HamiltonianField:
-        """Hamiltonian field carrying derivatives for the configured order."""
+        """The configured potential as a field on ``q_axis``.
+
+        The field carries the potential value itself, with the ceiling
+        V^(2 n_max + 1) that the configured bracket order reads.
+        """
         constructor = getattr(HamiltonianField, _KINDS[self.potential][1])
         return constructor(
             q_axis,

@@ -153,39 +153,31 @@ class BracketOrder:
         if not isinstance(self.n_max, int) or self.n_max < 0:
             raise ValueError("n_max must be a non-negative integer")
 
-    @property
-    def highest_derivative(self) -> int:
-        return 2 * self.n_max + 1
-
 
 @dataclass(frozen=True)
 class HamiltonianField:
-    """H = p^2 / (2 mass) + V(q), carried by the derivatives of V.
+    """H = p^2 / (2 mass) + V(q), carried by the potential value V.
 
-    Transport only ever needs V' and higher, so ``derivatives[k - 1]``
-    holds V^(k) on ``q_axis`` for k = 1 ... ``max_order`` and V itself
-    is not stored.  Constructors fill the rows from closed forms.
+    ``potential`` is a value with ``derivative(x, order)``, such as the
+    closed forms of :mod:`gravfringe.gravity`.  Transport only ever
+    needs V' and higher, so the field evaluates V^(k) on ``q_axis`` for
+    k = 1 ... ``max_order`` when a bracket reads it; V' is evaluated
+    once at construction, so an axis outside the potential's domain
+    raises there.
     """
 
     mass: float
     q_axis: np.ndarray
-    derivatives: np.ndarray  # shape (max_order, n_q)
+    potential: _TwoBall | _Quadratic
+    max_order: int = 7
 
     def __post_init__(self) -> None:
         q = np.asarray(self.q_axis, dtype=float)
         object.__setattr__(self, "q_axis", q)
-        object.__setattr__(
-            self, "derivatives", np.asarray(self.derivatives, dtype=float)
-        )
         if not self.mass > 0.0:
             raise ValueError("mass must be strictly positive")
         _check_uniform(q, "q")
-        if self.derivatives.ndim != 2 or self.derivatives.shape[1] != q.size:
-            raise GridError("derivative rows must match the q axis")
-
-    @property
-    def max_order(self) -> int:
-        return int(self.derivatives.shape[0])
+        self.derivative(1)
 
     def derivative(self, order: int) -> np.ndarray:
         if not 1 <= order <= self.max_order:
@@ -193,14 +185,7 @@ class HamiltonianField:
                 f"V^({order}) requested but the field carries orders "
                 f"1..{self.max_order}"
             )
-        return self.derivatives[order - 1]
-
-    @classmethod
-    def _sampled(cls, potential, q_axis, mass, max_order: int) -> "HamiltonianField":
-        """Rows V' ... V^(max_order) of a potential value on the axis."""
-        q = np.asarray(q_axis, dtype=float)
-        rows = [potential.derivative(q, k) for k in range(1, max_order + 1)]
-        return cls(mass, q, np.vstack(rows))
+        return self.potential.derivative(self.q_axis, order)
 
     @classmethod
     def from_two_ball(
@@ -220,7 +205,7 @@ class HamiltonianField:
         exact at every order.
         """
         potential = _TwoBall(coupling_left, coupling_right, dist_left, dist_right)
-        return cls._sampled(potential, q_axis, mass, max_order)
+        return cls(mass, q_axis, potential, max_order)
 
     @classmethod
     def from_quadratic(
@@ -232,7 +217,7 @@ class HamiltonianField:
         max_order: int = 7,
     ) -> "HamiltonianField":
         """V(q) = curvature * q^2 + slope * q (all higher derivatives 0)."""
-        return cls._sampled(_Quadratic(curvature, slope), q_axis, mass, max_order)
+        return cls(mass, q_axis, _Quadratic(curvature, slope), max_order)
 
 
 def _require_aligned(h: HamiltonianField, w: WignerGrid) -> None:
@@ -372,11 +357,6 @@ def _generator(
     """
     _require_aligned(h, w)
     o = order if isinstance(order, BracketOrder) else BracketOrder(int(order))
-    if o.highest_derivative > h.max_order:
-        raise GridError(
-            f"n_max={o.n_max} needs V^({o.highest_derivative}) but the "
-            f"field carries orders 1..{h.max_order}"
-        )
     k = _wavenumbers(w.p_axis.size, w.dp)
     omega = h.derivative(1)[:, None] * k
     for n in range(1, o.n_max + 1):
@@ -520,7 +500,7 @@ def _held_propagator(
     if broken.size:
         raise NumericalError(
             "evolution stopped conserving probability: t |Omega| leaves the "
-            f"float range by t = {t_max!r} on the q row {h.q_axis[broken[0]]!r}"
+            f"float range by t = {t_max!r} on the q row {float(h.q_axis[broken[0]])!r}"
         )
     omega = omega[rows]
     start = w.values[rows]

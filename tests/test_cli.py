@@ -722,7 +722,7 @@ def test_numerical_breakdown_exits_3(tmp_path, capsys, argv, change, message):
     assert "numerical failure" in err and message in err
 
 
-def run_cli(*argv, stdout=subprocess.PIPE, env=None):
+def run_cli(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=None):
     """``python -m gravfringe.cli`` in a fresh process, as a shell runs it.
 
     The environment's ``PYTHON*`` settings are dropped, so warnings reach
@@ -735,7 +735,7 @@ def run_cli(*argv, stdout=subprocess.PIPE, env=None):
         [sys.executable, "-m", "gravfringe.cli", *argv],
         env={**inherited, "PYTHONPATH": str(src), **(env or {})},
         stdout=stdout,
-        stderr=subprocess.PIPE,
+        stderr=stderr,
         text=True,
     )
 
@@ -891,6 +891,7 @@ def _run_outputs(out):
         (["sweep", "--parameter", "d2", "--min", "0.06", "--max", "0.11",
           "--steps", "26"], 0),
         (["validate-oracle", "--config", str(CONFIGS / "oracle_quadratic.cfg")], 0),
+        (["validate-oracle", "--config", str(CONFIGS / "oracle_two_ball.cfg")], 0),
         (["fit", "RECORD"], 0),
         (["simulate", "--model", "schrodinger", "--duration", "0"], 2),
         (["simulate", "--model", "schrodinger", "--duration", "600",
@@ -898,8 +899,9 @@ def _run_outputs(out):
         (["validate-oracle", "--config", str(CONFIGS / "oracle_quadratic.cfg"),
           "--tolerance", "1e-18"], 3),
     ],
-    ids=["frequencies", "simulate", "sweep", "validate-oracle", "fit",
-         "usage-error", "aliased-simulate", "failed-validation"],
+    ids=["frequencies", "simulate", "sweep", "validate-oracle",
+         "validate-oracle-two-ball", "fit", "usage-error", "aliased-simulate",
+         "failed-validation"],
 )
 def test_process_entry_writes_what_main_writes(tmp_path, capsys, argv, status):
     record = tmp_path / "sim" / "record.csv"
@@ -936,6 +938,27 @@ def test_closed_stdout_ends_with_status_120_and_no_traceback(tmp_path, env):
     [line] = proc.stderr.splitlines()
     assert line.startswith("gravfringe: cannot write <stdout>: ")
     assert (tmp_path / "frequencies.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "env", [None, {"PYTHONUNBUFFERED": "1"}], ids=["buffered", "unbuffered"]
+)
+def test_closed_stderr_ends_with_status_120_and_no_traceback(tmp_path, env):
+    # the output directory cannot be made under a file, and the error
+    # line cannot be written: an uncaught BrokenPipeError would end the
+    # process with status 1 and a traceback
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_cli(
+            "frequencies", "--out", str(blocker / "out"), stderr=write_end, env=env
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 120
+    assert proc.stdout == ""
 
 
 def test_main_returns_its_status_without_exiting(tmp_path, capsys, monkeypatch):

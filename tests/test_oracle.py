@@ -368,6 +368,57 @@ def test_two_ball_run_recovers_both_frequencies():
     assert report.coherence_final == pytest.approx(0.5, abs=1e-3)
 
 
+def _slopes(config):
+    report = run_validation(config)
+    return report.omega_moyal_measured, report.omega_poisson_measured
+
+
+@pytest.mark.parametrize("s", [0.5, 2.0, 3.0, 0.37])
+def test_grid_run_is_scale_covariant(s):
+    # lengths times s, couplings times s and momenta over s leave V on
+    # the scaled points, and with it both slopes, unchanged; a power of
+    # two rescales every float exactly
+    c = default_scaled_config()
+    scaled = dataclasses.replace(
+        c,
+        arm_separation=c.arm_separation * s,
+        packet_width=c.packet_width * s,
+        coupling_left=c.coupling_left * s,
+        coupling_right=c.coupling_right * s,
+        dist_left=c.dist_left * s,
+        dist_right=c.dist_right * s,
+        q_lo=c.q_lo * s,
+        q_hi=c.q_hi * s,
+        p_lo=c.p_lo / s,
+        p_hi=c.p_hi / s,
+    )
+    slopes, expected = _slopes(scaled), _slopes(c)
+    if math.frexp(s)[0] == 0.5:
+        assert slopes == expected
+    else:
+        bound = 1e-13 * abs(c.predicted_frequencies()[1])
+        assert np.abs(np.subtract(slopes, expected)).max() <= bound
+
+
+def test_mirrored_geometry_negates_the_slopes():
+    # swapping the balls reflects V, so the ridge row's generator, and
+    # with it the quantum slope, negates exactly
+    c = default_scaled_config()
+    mirrored = dataclasses.replace(
+        c,
+        coupling_left=c.coupling_right,
+        coupling_right=c.coupling_left,
+        dist_left=c.dist_right,
+        dist_right=c.dist_left,
+        q_lo=-c.q_hi,
+        q_hi=-c.q_lo,
+    )
+    (moyal, poisson), (moyal_m, poisson_m) = _slopes(c), _slopes(mirrored)
+    assert moyal_m == -moyal
+    # the nulled classical slope sits at the rounding floor
+    assert abs(poisson_m + poisson) <= 1e-13 * abs(moyal)
+
+
 @pytest.mark.parametrize("n_max", range(5))
 def test_held_slope_is_the_taylor_partial_sum(n_max):
     # held packets read Omega at q = 0, k = dx/hbar, which is the partial
